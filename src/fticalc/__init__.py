@@ -32,6 +32,7 @@ from .exterior import (
 from .johnson import (
     LbarElement,
     filtration_containment,
+    filtration_level,
     level_generators,
     lmo1_delta,
     lmo_delta,

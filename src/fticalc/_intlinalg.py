@@ -3,7 +3,10 @@
 Matrices are tuples of row tuples. Everything is desk scale (dimension
 <= ~16), so the algorithms favour clarity and exactness over speed:
 Bareiss for determinants, gcd-based row echelon for lattice normal
-forms, Fraction elimination for rational solves. No floating point.
+forms and ranks, Fraction elimination for rational solves. No floating
+point. It is also the rank and echelon kernel behind span membership in
+the exterior algebra, and its det yields the Alexander polynomial by
+interpolation.
 """
 
 from fractions import Fraction
@@ -144,7 +147,7 @@ def in_rowspan_z(v, hnf_rows):
     return all(x == 0 for x in v)
 
 
-def _invert_unimodular(t):
+def invert_unimodular(t):
     """Exact inverse of a unimodular integer matrix."""
     n = len(t)
     a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
@@ -180,14 +183,14 @@ def complete_to_unimodular(basis, width):
     aug = [[basis[i][j] for i in range(a)] + [1 if k == j else 0 for k in range(width)]
            for j in range(width)]
     ech, pivots = _echelon(aug, a + width)
-    # The identity block keeps all width rows independent, so none were dropped.
-    assert len(ech) == width
+    if len(ech) != width:
+        raise RuntimeError("echelon dropped a row of the identity block")
     t_rows = [r[a:] for r in ech]
     e_block = [r[:a] for r in ech[:a]]
     if abs(det(tuple(tuple(r) for r in e_block))) != 1:
         raise ValueError("basis is not saturated")
     t = tuple(tuple(r) for r in t_rows)
-    w = transpose(_invert_unimodular(t))
+    w = transpose(invert_unimodular(t))
     return tuple(w[a:])
 
 

@@ -5,7 +5,7 @@ error (a precondition of the requested operation fails), 2 parse error
 (unknown subcommand, malformed file or expression).
 
     fticalc blink det FILE
-    fticalc blink bracket FILE [--base M] [--jobs N]
+    fticalc blink bracket FILE [--base M]
     fticalc link casson FILE
     fticalc seifert alexander FILE
     fticalc cd degree FILE
@@ -19,7 +19,6 @@ FILE may be '-' for stdin.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import chords, groupring, johnson, links, symplectic
 from .exterior import wedge
@@ -73,26 +72,7 @@ def cmd_blink_det(args):
 
 def cmd_blink_bracket(args):
     b = _parse_with(links.BlinkPresentation.from_text, _read(args.file), "blink file")
-    if args.jobs > 1 and b.pairs >= 1:
-        if any(s is None for s in b.eps):
-            raise ValueError("blink has pairs without a unit Seifert-framing")
-        # expand the two halves of the subblink lattice in parallel and
-        # merge; coefficient addition is order-independent
-        first = links.BlinkPresentation.from_pair_data(
-            [b.lk[2 * p][2 * p + 1] for p in range(b.pairs - 1)],
-            b.eps[: b.pairs - 1],
-        )
-        p_last = b.pairs - 1
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            plain = pool.submit(links.bracket_expand, (args.base, frozenset()), first)
-            surged = pool.submit(
-                links.bracket_expand,
-                (args.base, frozenset([("pair", p_last)])),
-                first,
-            )
-            total = plain.result() - surged.result()
-    else:
-        total = links.bracket_expand(args.base, b)
+    total = links.bracket_expand(args.base, b)
     print("terms=%d" % len(total))
     for desc, coeff in total.sorted_terms():
         print("term.%s=%s" % (links._render_descriptor(desc), coeff))
@@ -204,7 +184,6 @@ def build_parser():
     p = blink_sub.add_parser("bracket", help="surgery bracket expansion")
     p.add_argument("file")
     p.add_argument("--base", default="M", help="manifold label (default M)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_blink_bracket)
 
     link = sub.add_parser("link", help="framed links")

@@ -16,8 +16,8 @@ coefficients; "0" is the zero element. Round-trips exactly.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from . import _intlinalg as la
 
@@ -171,6 +171,28 @@ class MultiVector:
         return cls(dim, grade, terms)
 
 
+def _wedge_terms(factors, dim):
+    """Nonzero coordinates of the wedge of 2 or 3 vectors, keyed canonically."""
+    terms = {}
+    if len(factors) == 2:
+        u, v = factors
+        for i, j in combinations(range(dim), 2):
+            c = u[i] * v[j] - u[j] * v[i]
+            if c:
+                terms[(i, j)] = c
+        return terms
+    u, v, w = factors
+    for i, j, k in combinations(range(dim), 3):
+        c = (
+            u[i] * (v[j] * w[k] - v[k] * w[j])
+            - u[j] * (v[i] * w[k] - v[k] * w[i])
+            + u[k] * (v[i] * w[j] - v[j] * w[i])
+        )
+        if c:
+            terms[(i, j, k)] = c
+    return terms
+
+
 def wedge(factors, dim=None):
     """Alternating product of 2 or 3 coordinate vectors."""
     factors = [tuple(v) for v in factors]
@@ -180,24 +202,8 @@ def wedge(factors, dim=None):
         dim = len(factors[0])
     if any(len(v) != dim for v in factors):
         raise ValueError("factor length mismatch")
-    terms = {}
-    if len(factors) == 2:
-        u, v = factors
-        for i, j in combinations(range(dim), 2):
-            c = u[i] * v[j] - u[j] * v[i]
-            if c:
-                terms[(i, j)] = Fraction(c)
-        return MultiVector(dim, "wedge2", terms)
-    u, v, w = factors
-    for i, j, k in combinations(range(dim), 3):
-        c = (
-            u[i] * (v[j] * w[k] - v[k] * w[j])
-            - u[j] * (v[i] * w[k] - v[k] * w[i])
-            + u[k] * (v[i] * w[j] - v[j] * w[i])
-        )
-        if c:
-            terms[(i, j, k)] = Fraction(c)
-    return MultiVector(dim, "wedge3", terms)
+    grade = "wedge2" if len(factors) == 2 else "wedge3"
+    return MultiVector(dim, grade, _wedge_terms(factors, dim))
 
 
 def tensor_wedge(a, bc, dim=None):
@@ -247,21 +253,41 @@ def _column(rows, j):
 
 
 def act(m, x):
-    """Functorial action of a matrix on each tensor or wedge slot."""
+    """Functorial action of an r x dim matrix on each tensor or wedge slot.
+
+    Column j of m is the image of basis vector j, so the result lives over
+    Z^r: a square matrix acts on H, and quotient_matrix(L) maps to H/L.
+    """
     rows = _matrix_rows(m)
-    if len(rows) != x.dim or any(len(r) != x.dim for r in rows):
+    if any(len(r) != x.dim for r in rows):
         raise ValueError("matrix dimension does not match the element")
+    r = len(rows)
     cols = [_column(rows, j) for j in range(x.dim)]
-    out = MultiVector.zero(x.dim, x.grade)
+    # accumulate over Z with the common denominator of x taken out
+    scale = lcm(*(c.denominator for _, c in x.terms))
+    acc = {}
     for key, c in x.terms:
-        if x.grade == "wedge2":
-            piece = wedge((cols[key[0]], cols[key[1]]), x.dim)
-        elif x.grade == "wedge3":
-            piece = wedge((cols[key[0]], cols[key[1]], cols[key[2]]), x.dim)
+        c = int(c * scale)
+        if x.grade == "tensor12":
+            a = cols[key[0]]
+            for (i, j), w in _wedge_terms((cols[key[1]], cols[key[2]]), r).items():
+                for s, y in enumerate(a):
+                    if y:
+                        acc[(s, i, j)] = acc.get((s, i, j), 0) + c * y * w
         else:
-            piece = tensor_wedge(cols[key[0]], wedge((cols[key[1]], cols[key[2]]), x.dim), x.dim)
-        out = out + c * piece
-    return out
+            for k, w in _wedge_terms([cols[i] for i in key], r).items():
+                acc[k] = acc.get(k, 0) + c * w
+    return MultiVector(r, x.grade, {k: Fraction(v, scale) for k, v in acc.items()})
+
+
+def adapted_matrix(l):
+    """Rows sending H coordinates to coordinates in an L-adapted basis.
+
+    The basis is L.basis followed by a unimodular complement, so the first
+    rank(L) coordinates are the L-indices.
+    """
+    full = l.basis + la.complete_to_unimodular(l.basis, l.lat.dim)
+    return la.transpose(la.invert_unimodular(full))
 
 
 def quotient_matrix(l):
@@ -270,20 +296,9 @@ def quotient_matrix(l):
     The quotient is identified with Z^g via the images of a canonical
     complement basis of the Lagrangian L.
     """
-    lat = l.lat
     if not l.is_lagrangian():
         raise ValueError("quotient is only taken by a Lagrangian")
-    comp = la.complete_to_unimodular(l.basis, lat.dim)
-    full = l.basis + comp
-    rows = []
-    n = lat.dim
-    for k in range(n):
-        e_k = tuple(1 if t == k else 0 for t in range(n))
-        coords = la.coords_in_basis(e_k, full, n)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        rows.append(tuple(int(c) for c in coords[l.rank:]))
-    # columns = images of the standard basis, so transpose into a g x 2g map
-    return la.transpose(tuple(rows))
+    return adapted_matrix(l)[l.rank:]
 
 
 def quotient_mod_L(x, l):
@@ -294,64 +309,19 @@ def quotient_mod_L(x, l):
     """
     if x.dim != l.lat.dim:
         raise ValueError("element and Lagrangian have different ambient lattices")
-    q = quotient_matrix(l)
-    g = l.lat.genus
-    cols = [_column(q, j) for j in range(x.dim)]
-    out = MultiVector.zero(g, x.grade)
-    for key, c in x.terms:
-        if x.grade == "wedge2":
-            piece = wedge((cols[key[0]], cols[key[1]]), g)
-        elif x.grade == "wedge3":
-            piece = wedge((cols[key[0]], cols[key[1]], cols[key[2]]), g)
-        else:
-            piece = tensor_wedge(cols[key[0]], wedge((cols[key[1]], cols[key[2]]), g), g)
-        out = out + c * piece
-    return out
+    return act(quotient_matrix(l), x)
 
 
-def _basis_index(grade, dim):
-    if grade == "wedge2":
-        return {k: n for n, k in enumerate(combinations(range(dim), 2))}
-    if grade == "wedge3":
-        return {k: n for n, k in enumerate(combinations(range(dim), 3))}
-    keys = [
-        (a, i, j)
-        for a in range(dim)
-        for i, j in combinations(range(dim), 2)
-    ]
-    return {k: n for n, k in enumerate(keys)}
-
-
-@lru_cache(maxsize=256)
-def _echelon_of(generators):
-    """Row echelon (over Q) of the generators, as reduction data."""
-    if not generators:
-        return None
-    dim, grade = generators[0].dim, generators[0].grade
-    index = _basis_index(grade, dim)
-    n = len(index)
+def _integer_rows(vectors, index):
+    """Coefficient rows over the given key index, each scaled to integers."""
     rows = []
-    for gvec in generators:
-        row = [Fraction(0)] * n
-        for k, c in gvec.terms:
-            row[index[k]] = c
+    for v in vectors:
+        scale = lcm(*(c.denominator for _, c in v.terms))
+        row = [0] * len(index)
+        for k, c in v.terms:
+            row[index[k]] = int(c * scale)
         rows.append(row)
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return (index, tuple(tuple(row) for row in rows[:r]), tuple(pivots))
+    return rows
 
 
 def in_span(x, generators):
@@ -361,18 +331,10 @@ def in_span(x, generators):
         x._check(gvec)
     if x.is_zero():
         return True
-    data = _echelon_of(generators)
-    if data is None:
-        return False
-    index, rows, pivots = data
-    vec = [Fraction(0)] * len(index)
-    for k, c in x.terms:
-        vec[index[k]] = c
-    for row, c in zip(rows, pivots):
-        if vec[c]:
-            f = vec[c]
-            vec = [x0 - f * y for x0, y in zip(vec, row)]
-    return all(v == 0 for v in vec)
+    keys = sorted({k for v in generators + (x,) for k, _ in v.terms})
+    index = {k: n for n, k in enumerate(keys)}
+    rows = _integer_rows(generators + (x,), index)
+    return la.rank(rows[:-1], len(keys)) == la.rank(rows, len(keys))
 
 
 def kernel_wedge2_generators(l):

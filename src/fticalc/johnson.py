@@ -14,14 +14,18 @@ checks: the target subspaces at levels 2..5 are
 
 with K = ker(Lambda^2 H -> Lambda^2 (H/L)) = L ^ H. Applying the
 difference action promotes membership by one level.
+
+In a basis that starts with a basis of L (the L-indices), the level-n
+target is spanned by the basis terms a@(i^j) with at least n - 1 L-indices
+among a, i, j. So the level of x is read off its support in that basis.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
 from .exterior import (
     MultiVector,
-    in_span,
+    act,
+    adapted_matrix,
     kernel_wedge2_generators,
     tensor_wedge,
     wedge,
@@ -136,9 +140,15 @@ def triple_commutator_tau(lam, w):
     return lmo1_delta(lam, lmo1_delta(lam, lmo1_delta(lam, w)))
 
 
-@lru_cache(maxsize=64)
-def _level_generators(lat, l, n):
-    dim = lat.dim
+def level_generators(n, l):
+    """Generating set of the level-n target subspace of H tensor Lambda^2 H."""
+    if n not in (2, 3, 4, 5):
+        raise ValueError("level must be one of 2, 3, 4, 5")
+    if not l.is_lagrangian():
+        raise ValueError("L must be a Lagrangian")
+    if n == 5:
+        return ()
+    dim = l.lat.dim
 
     def basis(k):
         return tuple(1 if t == k else 0 for t in range(dim))
@@ -166,15 +176,22 @@ def _level_generators(lat, l, n):
     return tuple(g for g in gens if not g.is_zero())
 
 
-def level_generators(n, l):
-    """Generating set of the level-n target subspace of H tensor Lambda^2 H."""
-    if n not in (2, 3, 4, 5):
-        raise ValueError("level must be one of 2, 3, 4, 5")
+def filtration_level(x, l):
+    """The largest n in 2..5 with x in the level-n target subspace, or 1.
+
+    Written in an L-adapted basis, x has level 1 + the fewest L-indices in
+    any of its terms, and level 5 when it is zero.
+    """
+    if x.grade != "tensor12":
+        raise ValueError("filtration_level expects a tensor12 element")
+    if x.dim != l.lat.dim:
+        raise ValueError("ambient dimension mismatch")
     if not l.is_lagrangian():
         raise ValueError("L must be a Lagrangian")
-    if n == 5:
-        return ()
-    return _level_generators(l.lat, l, n)
+    y = act(adapted_matrix(l), x)
+    if y.is_zero():
+        return 5
+    return 1 + min(sum(1 for t in key if t < l.rank) for key, _ in y.terms)
 
 
 def filtration_containment(n, x, l):
@@ -185,6 +202,4 @@ def filtration_containment(n, x, l):
         raise ValueError("filtration_containment expects a tensor12 element")
     if x.dim != l.lat.dim:
         raise ValueError("ambient dimension mismatch")
-    if n == 5:
-        return x.is_zero()
-    return in_span(x, level_generators(n, l))
+    return filtration_level(x, l) >= n

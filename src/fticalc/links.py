@@ -137,6 +137,8 @@ class BlinkPresentation:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError("lk indices out of range")
             lk[i][j] = lk[j][i] = v
+        if any(not 0 <= p < r for p in eps_entries):
+            raise ValueError("eps pair out of range")
         eps = [eps_entries.get(p) for p in range(r)]
         return cls(r, lk, eps)
 
@@ -207,8 +209,12 @@ class FramedLink:
             raise ValueError("missing 'components=<n>' header")
         lk = [[0] * n for _ in range(n)]
         for (i, j), v in lk_entries.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("lk indices out of range")
             lk[i][j] = lk[j][i] = v
         for i, v in frames.items():
+            if not 0 <= i < n:
+                raise ValueError("frame index out of range")
             lk[i][i] = v
         return cls(n, lk)
 
@@ -571,23 +577,20 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.to_text()
 
 
-def _poly_det(rows):
-    """Determinant of a small matrix of LaurentPoly entries, by expansion."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly({0: 1})
-    if n == 1:
-        return rows[0][0]
-    out = LaurentPoly()
-    for j in range(n):
-        if not rows[0][j].coeffs:
-            continue
-        minor = [
-            [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = rows[0][j] * _poly_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+def _interpolate(values):
+    """Coefficients, lowest first, of the polynomial of degree < len(values)
+    taking values[t] at t = 0, 1, ... (Newton divided differences)."""
+    c = [Fraction(v) for v in values]
+    n = len(c)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / k
+    # Horner on the Newton form c[0] + (t - 0)(c[1] + (t - 1)(c[2] + ...))
+    poly = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        poly = [a - k * b for a, b in zip([Fraction(0)] + poly[:-1], poly)]
+        poly[0] += c[k]
+    return poly
 
 
 def alexander(a):
@@ -595,7 +598,8 @@ def alexander(a):
 
     Delta(t) = det(t^(1/2) A - t^(-1/2) A^T), symmetric in t <-> 1/t and
     normalized so Delta(1) = 1. Raises for a degenerate block, i.e. when
-    A - A^T is not unimodular.
+    A - A^T is not unimodular. det(t A - A^T) has degree <= n, so it is
+    interpolated from its integer values at t = 0..n.
     """
     if not a.is_knot_block():
         raise ValueError("alexander is defined for a single knot block")
@@ -606,11 +610,12 @@ def alexander(a):
     )
     if abs(la.det(skew)) != 1:
         raise ValueError("degenerate block: A - A^T is not unimodular")
-    rows = [
-        [LaurentPoly({1: m[i][j], 0: -m[j][i]}) for j in range(n)]
-        for i in range(n)
+    values = [
+        la.det(tuple(tuple(t * m[i][j] - m[j][i] for j in range(n)) for i in range(n)))
+        for t in range(n + 1)
     ]
-    raw = _poly_det(rows).shift(-(n // 2))
+    coeffs = _interpolate(values)
+    raw = LaurentPoly({k - n // 2: int(c) for k, c in enumerate(coeffs)})
     at_one = raw(1)
     if at_one == -1:
         raw = -1 * raw

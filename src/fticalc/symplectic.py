@@ -355,7 +355,8 @@ def complementary_lagrangian(l, lplus, lminus):
     coords = []
     for v in a_plus.basis:
         cv = la.coords_in_basis(v, lplus.basis, lat.dim)
-        assert cv is not None and all(x.denominator == 1 for x in cv)
+        if cv is None or any(x.denominator != 1 for x in cv):
+            raise RuntimeError("L ^ L+ does not have integer coordinates in L+")
         coords.append(tuple(int(x) for x in cv))
     comp_coords = la.complete_to_unimodular(
         la.row_hnf(tuple(coords), lplus.rank), lplus.rank
@@ -376,8 +377,10 @@ def complementary_lagrangian(l, lplus, lminus):
         for cc in ker
     ]
     lp = Sublattice(lat, tuple(lp_gens) + tuple(lm_gens))
-    assert lp.is_lagrangian()
-    assert la.row_hnf(l.basis + lp.basis, lat.dim) == la.identity(lat.dim)
+    if not lp.is_lagrangian():
+        raise RuntimeError("the constructed complement is not a Lagrangian")
+    if la.row_hnf(l.basis + lp.basis, lat.dim) != la.identity(lat.dim):
+        raise RuntimeError("the constructed Lagrangian is not a complement of L")
     return lp
 
 

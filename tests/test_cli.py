@@ -53,9 +53,6 @@ def test_blink_bracket_deterministic(tmp_path, capsys):
     assert status == 0
     status, out2, _ = run(capsys, ["blink", "bracket", path])
     assert out1 == out2
-    status, out3, _ = run(capsys, ["blink", "bracket", path, "--jobs", "2"])
-    assert status == 0
-    assert out3 == out1
     assert out1.startswith("terms=4\n")
 
 
@@ -131,6 +128,13 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert status == 2
     status, _, err = run(capsys, ["sp", "realize", "--C", "1 2;3"])
     assert status == 2
+
+
+def test_out_of_range_eps_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "eps.blink", "pairs=1\neps 0 1\neps 7 1\n")
+    status, out, err = run(capsys, ["blink", "det", path])
+    assert (status, out) == (2, "")
+    assert err.startswith("parse error:")
 
 
 def test_unknown_subcommand_exit_2(capsys):

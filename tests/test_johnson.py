@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from fticalc.exterior import MultiVector, act, tensor_wedge, wedge
+from fticalc.exterior import MultiVector, act, in_span, tensor_wedge, wedge
 from fticalc.johnson import (
     LbarElement,
     filtration_containment,
+    filtration_level,
     level_generators,
     lmo1_delta,
     lmo_delta,
     triple_commutator_tau,
 )
-from fticalc.symplectic import SpMatrix, Sublattice, SymplecticLattice
+from fticalc.symplectic import SpMatrix, Sublattice, SymplecticLattice, transvection
 
 
 def random_symmetric(rng, g, lo=-3, hi=3):
@@ -189,3 +190,54 @@ def test_nonstandard_lagrangian():
     x = tensor_wedge(q.apply(lat.e(1)), wedge((q.apply(lat.e(2)), q.apply(lat.f(2)))))
     assert filtration_containment(2, x, l2)
     assert filtration_containment(3, lmo_delta(lam, x), l2)
+
+
+def moved_lagrangian(rng, lat):
+    """L+ moved by a few random transvections."""
+    l = lat.standard_lplus()
+    for _ in range(3):
+        v = tuple(rng.randint(-2, 2) for _ in range(lat.dim))
+        if any(v):
+            t = transvection(lat, v, rng.choice((1, -1)))
+            l = Sublattice(lat, [t.apply(b) for b in l.basis])
+    return l
+
+
+def test_filtration_level_matches_span_oracle():
+    # the support rule against span membership in the level generators
+    rng = random.Random(59)
+    seen = set()
+    for g in (2, 3):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            l = moved_lagrangian(rng, lat)
+            oracle = {n: level_generators(n, l) for n in (2, 3, 4, 5)}
+            xs = [MultiVector.zero(lat.dim, "tensor12")]
+            for n in (2, 3, 4):
+                x = MultiVector.zero(lat.dim, "tensor12")
+                for gv in rng.sample(oracle[n], min(3, len(oracle[n]))):
+                    x = x + Fraction(rng.randint(1, 3)) * gv
+                # pushed out of its level by one extra term
+                xs += [x, x + random_tensor12(rng, lat.dim, 1)]
+            for x in xs:
+                level = filtration_level(x, l)
+                seen.add(level)
+                for n in (2, 3, 4, 5):
+                    assert in_span(x, oracle[n]) == (level >= n)
+                    assert filtration_containment(n, x, l) == (level >= n)
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_filtration_level_examples():
+    lat = SymplecticLattice(2)
+    l = lat.standard_lplus()
+    e1, e2, f1, f2 = lat.e(1), lat.e(2), lat.f(1), lat.f(2)
+    assert filtration_level(MultiVector.zero(4, "tensor12"), l) == 5
+    assert filtration_level(tensor_wedge(e1, wedge((e1, e2))), l) == 4
+    assert filtration_level(tensor_wedge(f1, wedge((e1, e2))), l) == 3
+    assert filtration_level(tensor_wedge(f1, wedge((e1, f2))), l) == 2
+    assert filtration_level(tensor_wedge(f1, wedge((f1, f2))), l) == 1
+    with pytest.raises(ValueError):
+        filtration_level(wedge((e1, f1)), l)
+    with pytest.raises(ValueError):
+        filtration_level(tensor_wedge(f1, wedge((f1, f2))), Sublattice(lat, [e1]))

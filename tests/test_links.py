@@ -285,6 +285,29 @@ def test_alexander_degenerate():
         alexander(SeifertMatrix((2, 2), [[0] * 4] * 4))
 
 
+def test_alexander_matches_sympy_determinant():
+    # independent oracle: det(t A - A^T) over Z[t] by sympy, up to genus 6
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    ring = sympy.ZZ[t]
+    rng = random.Random(89)
+    for g in range(1, 7):
+        for _ in range(2):
+            a = random_knot_block(rng, g).entries
+            n = 2 * g
+            m = DomainMatrix(
+                [[ring.from_sympy(t * a[i][j] - a[j][i]) for j in range(n)] for i in range(n)],
+                (n, n),
+                ring,
+            )
+            coeffs = sympy.Poly(ring.to_sympy(m.det()), t).all_coeffs()[::-1]
+            sign = 1 if sum(coeffs) == 1 else -1
+            expected = {k - g: sign * int(c) for k, c in enumerate(coeffs) if c}
+            assert alexander(SeifertMatrix.knot(a)).coeffs == expected
+
+
 def test_phi_examples():
     assert phi(UNKNOT) == 0
     assert phi(TREFOIL) == 2
@@ -337,6 +360,20 @@ def test_formal_sum_arithmetic():
     t = FormalSum({("M", frozenset()): Fraction(-1)})
     assert len(s + t) == 0
     assert (Fraction(2) * s).terms[("M", frozenset())] == 2
+
+
+def test_from_text_rejects_out_of_range_indices():
+    for text in (
+        "components=2\nlk 0 5 1\n",
+        "components=2\nlk -1 1 1\n",
+        "components=2\nframe 4 1\n",
+        "components=2\nframe -1 1\n",
+    ):
+        with pytest.raises(ValueError):
+            FramedLink.from_text(text)
+    for text in ("pairs=1\neps 7 1\n", "pairs=1\neps -1 1\n"):
+        with pytest.raises(ValueError):
+            BlinkPresentation.from_text(text)
 
 
 def test_file_round_trips():
