@@ -24,7 +24,18 @@ sum in which every term has boundary degree >= m (or >= m markers):
 level by level it takes an (m-1)-tower, partitions the circle into arcs
 at the tower endpoints, picks by pigeonhole an arc pair joined by at
 least m chords (the "special" ones) and sorts the specials until they
-are pairwise disjoint. Diagram text format:
+are pairwise disjoint. Multi-circle reduction uncrosses chords circle by
+circle with the same moves. One move kernel serves four_term and both
+reductions: it locates the fixed endpoints on the moving circle, builds
+the three main terms and, unless the move is a clean version 1 (both
+chords on the moving circle alone), the marked error pair.
+
+The canonical form is the lexicographically least relabelling over
+circle orders, rotations and reflections. Every candidate has one row
+per circle, so it is built row by row, keeping at each depth only the
+partial states (circles used, labels given) whose newest row is least.
+
+Diagram text format:
 
     circles <k>
     I c1:p1 c2:p2
@@ -40,7 +51,6 @@ independently and merged in any order with identical results.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 
@@ -51,7 +61,7 @@ class ChordDiagram:
     along the circles, so structural equality is label-independent.
     """
 
-    __slots__ = ("circles", "marks")
+    __slots__ = ("circles", "marks", "_pos")
 
     def __init__(self, circles, marks=0):
         raw = [list(c) for c in circles]
@@ -66,29 +76,24 @@ class ChordDiagram:
         self.marks = int(marks)
         if self.marks < 0:
             raise ValueError("marks must be nonnegative")
-        _validate_circles(self.circles)
+        self._pos = _positions(self.circles)
+        _validate_positions(self._pos)
 
     @property
     def chord_count(self):
-        return len({tok for seq in self.circles for tok in seq})
+        return len(self._pos)
 
     def chord_ids(self):
         return range(self.chord_count)
 
     def endpoints(self, cid):
         """All (circle, slot) positions of a chord."""
-        out = []
-        for c, seq in enumerate(self.circles):
-            for p, tok in enumerate(seq):
-                if tok == cid:
-                    out.append((c, p))
-        if not out:
+        if cid not in self._pos:
             raise ValueError("unknown chord id %r" % (cid,))
-        return tuple(out)
+        return tuple((c, p) for c, ps in self._pos[cid].items() for p in ps)
 
     def chord_type(self, cid):
-        n = len(self.endpoints(cid))
-        return "I" if n == 2 else "II"
+        return "I" if len(self.endpoints(cid)) == 2 else "II"
 
     def __eq__(self, other):
         return (
@@ -105,22 +110,15 @@ class ChordDiagram:
 
     def to_text(self):
         lines = ["circles %d" % len(self.circles)]
-        occ = _occurrences(self.circles)
-        for cid in sorted(occ):
-            per = {}
-            for c, p in occ[cid]:
-                per.setdefault(c, []).append(p)
-            if len(occ[cid]) == 2:
-                pts = sorted((c, p) for c, ps in per.items() for p in ps)
+        for cid in sorted(self._pos):
+            pts = self.endpoints(cid)
+            if len(pts) == 2:
                 lines.append("I %d:%d %d:%d" % (pts[0] + pts[1]))
             else:
-                cs = sorted(per)
+                (c0, ps0), (c1, ps1) = self._pos[cid].items()
                 lines.append(
                     "II %d:%s %d:%s"
-                    % (
-                        cs[0], ",".join(str(p) for p in sorted(per[cs[0]])),
-                        cs[1], ",".join(str(p) for p in sorted(per[cs[1]])),
-                    )
+                    % (c0, ",".join(map(str, ps0)), c1, ",".join(map(str, ps1)))
                 )
         if self.marks:
             lines.append("marks %d" % self.marks)
@@ -128,8 +126,7 @@ class ChordDiagram:
 
     @classmethod
     def from_text(cls, text):
-        ncircles = None
-        marks = 0
+        headers = {}
         assignments = []  # (chord_index, circle, slot)
         chord_index = 0
         for line in text.splitlines():
@@ -137,10 +134,12 @@ class ChordDiagram:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "circles":
-                ncircles = int(parts[1])
-            elif parts[0] == "marks":
-                marks = int(parts[1])
+            if parts[0] in ("circles", "marks"):
+                if parts[0] in headers:
+                    raise ValueError("repeated %r line" % parts[0])
+                if len(parts) != 2:
+                    raise ValueError("malformed header line %r" % line)
+                headers[parts[0]] = int(parts[1])
             elif parts[0] in ("I", "II"):
                 pts = []
                 for spec in parts[1:]:
@@ -156,12 +155,17 @@ class ChordDiagram:
                 chord_index += 1
             else:
                 raise ValueError("unrecognized diagram line %r" % line)
+        ncircles = headers.get("circles")
         if ncircles is None:
             raise ValueError("missing 'circles <k>' header")
+        if ncircles < 0:
+            raise ValueError("negative circle count")
         lengths = [0] * ncircles
         for _, c, p in assignments:
             if not 0 <= c < ncircles:
                 raise ValueError("circle index out of range")
+            if p < 0:
+                raise ValueError("negative slot index %d:%d" % (c, p))
             lengths[c] = max(lengths[c], p + 1)
         circles = [[None] * lengths[c] for c in range(ncircles)]
         for cid, c, p in assignments:
@@ -171,55 +175,45 @@ class ChordDiagram:
         for c, seq in enumerate(circles):
             if any(tok is None for tok in seq):
                 raise ValueError("circle %d has an unused slot" % c)
-        return cls(circles, marks)
+        return cls(circles, headers.get("marks", 0))
 
 
-def _validate_circles(circles):
-    occ = _occurrences(circles)
-    for cid, pts in occ.items():
-        if len(pts) == 2:
+def _positions(circles):
+    """The position map: chord id -> {circle: [slots in increasing order]},
+    with circles in increasing order."""
+    pos = {}
+    for c, seq in enumerate(circles):
+        for p, tok in enumerate(seq):
+            pos.setdefault(tok, {}).setdefault(c, []).append(p)
+    return pos
+
+
+def _validate_positions(pos):
+    for cid, per in pos.items():
+        counts = [len(ps) for ps in per.values()]
+        total = sum(counts)
+        if total == 2:
             continue
-        if len(pts) == 4:
-            touched = {c for c, _ in pts}
-            if len(touched) != 2:
+        if total == 4:
+            if len(per) != 2:
                 raise ValueError(
                     "type II chord %r must meet exactly two distinct circles" % cid
                 )
-            per = {}
-            for c, _ in pts:
-                per[c] = per.get(c, 0) + 1
-            if set(per.values()) != {2}:
+            if counts != [2, 2]:
                 raise ValueError(
                     "type II chord %r needs two endpoints per circle" % cid
                 )
             continue
-        raise ValueError("chord %r has %d endpoints" % (cid, len(pts)))
+        raise ValueError("chord %r has %d endpoints" % (cid, total))
 
 
-def _occurrences(circles):
-    occ = {}
-    for c, seq in enumerate(circles):
-        for p, tok in enumerate(seq):
-            occ.setdefault(tok, []).append((c, p))
-    return occ
-
-
-def _positions_by_circle(circles, cid):
-    per = {}
-    for c, seq in enumerate(circles):
-        for p, tok in enumerate(seq):
-            if tok == cid:
-                per.setdefault(c, []).append(p)
-    return per
-
-
-def _intersect_raw(circles, a, b):
-    pa = _positions_by_circle(circles, a)
-    pb = _positions_by_circle(circles, b)
-    for c in set(pa) & set(pb):
+def _interleave(pa, pb):
+    """Whether two chords, given as {circle: slots}, interleave (1212) on
+    some circle that carries two endpoints of each."""
+    for c in pa.keys() & pb.keys():
         if len(pa[c]) == 2 and len(pb[c]) == 2:
-            p1, p2 = sorted(pa[c])
-            q1, q2 = sorted(pb[c])
+            p1, p2 = pa[c]
+            q1, q2 = pb[c]
             if (p1 < q1 < p2) != (p1 < q2 < p2):
                 return True
     return False
@@ -232,31 +226,17 @@ def chords_intersect(d, c1, c2):
     n = d.chord_count
     if not (0 <= c1 < n and 0 <= c2 < n):
         raise ValueError("unknown chord id")
-    return _intersect_raw(d.circles, c1, c2)
+    return _interleave(d._pos[c1], d._pos[c2])
 
 
-def _adjacency_masks(circles):
-    # one occurrence scan, then O(1) interleave checks per chord pair
-    per = {}
-    for c, seq in enumerate(circles):
-        for p, tok in enumerate(seq):
-            per.setdefault(tok, {}).setdefault(c, []).append(p)
-    ids = sorted(per)
-    n = len(ids)
+def _adjacency_masks(pos):
+    """Crossing graph as bitmasks; bit i stands for the i-th smallest id."""
+    per = [pos[cid] for cid in sorted(pos)]
+    n = len(per)
     masks = [0] * n
     for i in range(n):
-        pa = per[ids[i]]
         for j in range(i + 1, n):
-            pb = per[ids[j]]
-            hit = False
-            for c in pa.keys() & pb.keys():
-                if len(pa[c]) == 2 and len(pb[c]) == 2:
-                    p1, p2 = pa[c]
-                    q1, q2 = pb[c]
-                    if (p1 < q1 < p2) != (p1 < q2 < p2):
-                        hit = True
-                        break
-            if hit:
+            if _interleave(per[i], per[j]):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -290,67 +270,50 @@ def _mis(masks, stop_at=None):
     return best_size, best_set
 
 
-def _bd_raw(circles, stop_at=None):
-    return _mis(_adjacency_masks(circles), stop_at=stop_at)[0]
+def _bd_raw(pos, stop_at=None):
+    return _mis(_adjacency_masks(pos), stop_at=stop_at)[0]
 
 
 def boundary_degree(d):
     """Size of a maximum set of pairwise-nonintersecting chords."""
-    return _bd_raw(d.circles)
+    return _bd_raw(d._pos)
+
+
+def _turns(seq):
+    """Every rotation and reflection of one circle."""
+    if not seq:
+        return {()}
+    out = set()
+    for base in (tuple(seq), tuple(reversed(seq))):
+        for r in range(len(base)):
+            out.add(base[r:] + base[:r])
+    return out
 
 
 def canonicalize(d):
     """Deterministic canonical form: lexicographically minimal labeling
     over circle permutations, rotations and reflections."""
-    k = len(d.circles)
-    variants = []
-    for seq in d.circles:
-        vs = set()
-        n = len(seq)
-        if n == 0:
-            vs.add(())
-        else:
-            for flip in (False, True):
-                base = tuple(reversed(seq)) if flip else tuple(seq)
-                for r in range(n):
-                    vs.add(base[r:] + base[:r])
-        variants.append(sorted(vs))
-    best = None
-    for perm in permutations(range(k)):
-        best = _best_for_perm(variants, perm, best)
-    if best is None:
-        best = ()
-    return ChordDiagram(best, d.marks)
-
-
-def _best_for_perm(variants, perm, best):
-    # depth-first over per-circle variants with relabeling on the fly;
-    # prunes nothing fancy, sizes are small
-    def rec(idx, acc):
-        nonlocal best
-        if idx == len(perm):
-            cand = _relabel(acc)
-            if best is None or cand < best:
-                best = cand
-            return
-        for v in variants[perm[idx]]:
-            rec(idx + 1, acc + [v])
-
-    rec(0, [])
-    return best
-
-
-def _relabel(circle_list):
-    mapping = {}
-    out = []
-    for seq in circle_list:
-        row = []
-        for tok in seq:
-            if tok not in mapping:
-                mapping[tok] = len(mapping)
-            row.append(mapping[tok])
-        out.append(tuple(row))
-    return tuple(out)
+    turns = [_turns(seq) for seq in d.circles]
+    # partial states: (circles used as a bitmask, tokens in label order)
+    states = {(0, ())}
+    rows = []
+    for _ in turns:
+        best, kept = None, set()
+        for used, order in states:
+            label = {tok: n for n, tok in enumerate(order)}
+            for i, variants in enumerate(turns):
+                if used >> i & 1:
+                    continue
+                for seq in variants:
+                    relabel = label.copy()
+                    row = tuple([relabel.setdefault(tok, len(relabel)) for tok in seq])
+                    if best is None or row < best:
+                        best, kept = row, set()
+                    if row == best:
+                        kept.add((used | 1 << i, tuple(relabel)))
+        rows.append(best)
+        states = kept
+    return ChordDiagram(rows, d.marks)
 
 
 class DiagramSum:
@@ -459,6 +422,29 @@ def _remove_chord(circles, cid):
     )
 
 
+def _move(circles, pos, circ, m_pos, fixed):
+    """One 4-term move of the endpoint at circles[circ][m_pos] across the
+    fixed chord, as (circles, added marks, sign) triples.
+
+    pos is the position map of circles. The three main terms come first;
+    unless both chords lie on the moving circle alone (a clean version
+    1), the error pair follows: the moving chord removed, one marker, +1,
+    and the same with an inert extra circle, -1.
+    """
+    fpos = pos[fixed][circ]
+    n = len(circles[circ])
+    fa = next((p for p in fpos if (p + 1) % n == m_pos or (m_pos + 1) % n == p), None)
+    if fa is None:
+        raise ValueError("moving endpoint is not adjacent to the fixed chord")
+    fb = fpos[0] if fa == fpos[1] else fpos[1]
+    out = [(new, 0, sign) for new, sign in _hop_main_terms(circles, circ, m_pos, fa, fb)]
+    mover = circles[circ][m_pos]
+    if len(pos[fixed]) > 1 or len(pos[mover]) > 1:
+        stripped = _remove_chord(circles, mover)
+        out += [(stripped, 1, 1), (stripped + ((),), 1, -1)]
+    return out
+
+
 def four_term(d, fixed, moving, version):
     """One 4-term rewriting move, returned as the right-hand side sum.
 
@@ -477,10 +463,8 @@ def four_term(d, fixed, moving, version):
         raise ValueError("unknown chord id %r" % (fixed,))
     if mover == fixed:
         raise ValueError("moving endpoint belongs to the fixed chord")
-    fixed_per = _positions_by_circle(d.circles, fixed)
-    mover_per = _positions_by_circle(d.circles, mover)
-    fixed_circles = set(fixed_per)
-    mover_circles = set(mover_per)
+    fixed_circles = set(d._pos[fixed])
+    mover_circles = set(d._pos[mover])
     fixed_type = d.chord_type(fixed)
     mover_type = d.chord_type(mover)
     if version == 1:
@@ -495,28 +479,10 @@ def four_term(d, fixed, moving, version):
               and mover_circles != fixed_circles)
     if not ok:
         raise ValueError("configuration does not match version %d" % version)
-    fpos = fixed_per[circ]
-    if len(fpos) != 2:
-        raise ValueError("fixed chord needs two endpoints on the moving circle")
-    n = len(d.circles[circ])
-    fa = None
-    for cand in fpos:
-        if (cand + 1) % n == slot or (slot + 1) % n == cand:
-            fa = cand
-            break
-    if fa is None:
-        raise ValueError("moving endpoint is not adjacent to the fixed chord")
-    fb = fpos[0] if fa == fpos[1] else fpos[1]
     terms = {}
-    for new_circles, sign in _hop_main_terms(d.circles, circ, slot, fa, fb):
-        key = ChordDiagram(new_circles, d.marks)
+    for new_circles, added, sign in _move(d.circles, d._pos, circ, slot, fixed):
+        key = ChordDiagram(new_circles, d.marks + added)
         terms[key] = terms.get(key, Fraction(0)) + sign
-    if version in (2, 3):
-        stripped = _remove_chord(d.circles, mover)
-        e1 = ChordDiagram(stripped, d.marks + 1)
-        e2 = ChordDiagram(stripped + ((),), d.marks + 1)
-        terms[e1] = terms.get(e1, Fraction(0)) + 1
-        terms[e2] = terms.get(e2, Fraction(0)) - 1
     return DiagramSum(terms)
 
 
@@ -548,24 +514,25 @@ def _arc_structure(seq, s_ids):
     return arc_of, arcs
 
 
-def _make_plan(circles, level):
-    seq = circles[0]
-    masks = _adjacency_masks(circles)
+def _make_plan(seq, pos, masks, level):
     size, chosen = _mis(masks)
-    assert size == level - 1, "lift entered with wrong boundary degree"
-    ids = sorted(_occurrences(circles))
+    if size != level - 1:
+        raise RuntimeError("lift entered with wrong boundary degree")
+    ids = sorted(pos)
     s_ids = frozenset(ids[i] for i in range(len(ids)) if chosen >> i & 1)
     arc_of, arcs = _arc_structure(seq, s_ids)
     classes = {}
     for cid in ids:
         if cid in s_ids:
             continue
-        ps = [p for p, tok in enumerate(seq) if tok == cid]
-        pair = tuple(sorted((arc_of[ps[0]], arc_of[ps[1]])))
-        assert pair[0] != pair[1], "same-arc chord contradicts the degree bound"
+        p1, p2 = pos[cid][0]
+        pair = tuple(sorted((arc_of[p1], arc_of[p2])))
+        if pair[0] == pair[1]:
+            raise RuntimeError("same-arc chord contradicts the degree bound")
         classes.setdefault(pair, []).append(cid)
     key = max(sorted(classes), key=lambda k: len(classes[k]))
-    assert len(classes[key]) >= level, "pigeonhole bound violated"
+    if len(classes[key]) < level:
+        raise RuntimeError("pigeonhole bound violated")
     alpha_arc, beta_arc = key
     specials = classes[key]
     beta_order = [p for p in arcs[beta_arc] if seq[p] in specials]
@@ -580,14 +547,16 @@ def _next_move(circles, plan):
     arc_of, arcs = _arc_structure(seq, s_ids)
     alpha_positions = arcs[alpha_arc]
     order = [seq[p] for p in alpha_positions if seq[p] in specials]
-    assert len(order) == len(target), "a special chord left its class"
+    if len(order) != len(target):
+        raise RuntimeError("a special chord left its class")
     idx = next((i for i in range(len(order)) if order[i] != target[i]), None)
     if idx is None:
         return None
     want = target[idx]
     p = next(q for q in alpha_positions if seq[q] == want)
     prev = (p - 1) % len(seq)
-    assert seq[prev] not in s_ids, "sorting walked out of the arc"
+    if seq[prev] in s_ids:
+        raise RuntimeError("sorting walked out of the arc")
     if seq[prev] in specials:
         return (p, seq[prev])  # swap two specials: move `want` leftwards
     return (prev, want)  # bump the blocking nonspecial rightwards past `want`
@@ -602,19 +571,19 @@ def _lift(entries, level, out_terms):
     work = [(c, co, None) for c, co in entries]
     while work:
         circles, coeff, plan = work.pop()
-        if _bd_raw(circles, stop_at=level) >= level:
+        pos = _positions(circles)
+        masks = _adjacency_masks(pos)
+        if _mis(masks, stop_at=level)[0] >= level:
             out_terms.append((circles, coeff))
             continue
         if plan is None:
-            plan = _make_plan(circles, level)
+            plan = _make_plan(circles[0], pos, masks, level)
         move = _next_move(circles, plan)
-        assert move is not None, "sorted specials must yield the degree bound"
+        if move is None:
+            raise RuntimeError("sorted specials must yield the degree bound")
         m_pos, fixed = move
-        fpos = _positions_by_circle(circles, fixed)[0]
-        n = len(circles[0])
-        fa = next(c for c in fpos if (c + 1) % n == m_pos or (m_pos + 1) % n == c)
-        fb = fpos[0] if fa == fpos[1] else fpos[1]
-        for new_circles, sign in _hop_main_terms(circles, 0, m_pos, fa, fb):
+        # on one circle every move is a clean version 1: no error terms
+        for new_circles, _, sign in _move(circles, pos, 0, m_pos, fixed):
             work.append((new_circles, sign * coeff, plan))
     return out_terms
 
@@ -631,7 +600,7 @@ def tower_reduce(d, m, c=2):
         raise ValueError("m must be a positive integer")
     if len(d.circles) != 1:
         raise ValueError("tower_reduce expects a single-circle diagram")
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, stop_at=m) >= m:
+    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d._pos, stop_at=m) >= m:
         return DiagramSum({d: 1})
     if not pigeonhole_ok(m, c):
         raise ValueError("constant c=%d fails the pigeonhole bound for m=%d" % (c, m))
@@ -678,17 +647,15 @@ class ReductionLimits:
         return self.c2 * m ** 3
 
 
-def _find_multi_move(circles):
+def _find_multi_move(circles, pos):
     """A legal uncrossing move: (circle, moving pos, fixed id) or None."""
-    ids = sorted(_occurrences(circles))
-    for x in range(len(circles)):
-        seq = circles[x]
-        on_x = [cid for cid in ids if len(_positions_by_circle(circles, cid).get(x, ())) == 2]
+    ids = sorted(pos)
+    for x, seq in enumerate(circles):
+        on_x = [cid for cid in ids if len(pos[cid].get(x, ())) == 2]
         for ai in range(len(on_x)):
             for bi in range(ai + 1, len(on_x)):
                 a, b = on_x[ai], on_x[bi]
-                pa = sorted(_positions_by_circle(circles, a)[x])
-                pb = sorted(_positions_by_circle(circles, b)[x])
+                pa, pb = pos[a][x], pos[b][x]
                 if (pa[0] < pb[0] < pa[1]) == (pa[0] < pb[1] < pa[1]):
                     continue
                 # b has exactly one endpoint inside a's interval: walk it out
@@ -697,30 +664,21 @@ def _find_multi_move(circles):
                 blocker = seq[nxt]
                 if blocker == a:
                     return (x, q, a)
-                blocker_on_x = _positions_by_circle(circles, blocker).get(x, ())
-                if len(blocker_on_x) == 2:
+                if len(pos[blocker].get(x, ())) == 2:
                     return (x, q, blocker)
                 # blocker cannot anchor a move; bump it across b instead
                 return (x, nxt, b)
     return None
 
 
-def _is_clean_v1(circles, circ, m_pos, fixed):
-    mover = circles[circ][m_pos]
-    fixed_per = _positions_by_circle(circles, fixed)
-    mover_per = _positions_by_circle(circles, mover)
-    return set(fixed_per) == {circ} and set(mover_per) == {circ} \
-        and len(fixed_per[circ]) == 2 and len(mover_per[circ]) == 2
-
-
 def multi_tower_reduce(d, m, c=2, limits=None):
     """Reduce a multi-circle diagram to terms with boundary degree >= m
     or >= m blink markers.
 
-    Single-circle diagrams delegate to tower_reduce. Otherwise crossings
-    are eliminated circle by circle; moves involving type II chords emit
-    the marked error pair, and error branches retire once their marker
-    count reaches m. The chord count precondition h(m) = c*m^13 applies
+    Single-circle diagrams delegate to tower_reduce with c = limits.c.
+    Otherwise crossings are eliminated circle by circle; moves involving
+    type II chords emit the marked error pair, and error branches retire
+    once their marker count reaches m. The chord count precondition h(m) = c*m^13 applies
     to the rewriting path only; already-reduced diagrams return as a
     singleton regardless.
     """
@@ -728,10 +686,10 @@ def multi_tower_reduce(d, m, c=2, limits=None):
         raise ValueError("m must be a positive integer")
     if limits is None:
         limits = ReductionLimits(c=c)
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, stop_at=m) >= m:
+    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d._pos, stop_at=m) >= m:
         return DiagramSum({d: 1})
     if len(d.circles) == 1:
-        return tower_reduce(d, m, c=c)
+        return tower_reduce(d, m, c=limits.c)
     if d.chord_count < limits.h(m):
         raise ValueError(
             "need at least h(m) = %d chords, have %d" % (limits.h(m), d.chord_count)
@@ -741,7 +699,8 @@ def multi_tower_reduce(d, m, c=2, limits=None):
     steps = 0
     while work:
         circles, marks, coeff = work.pop()
-        if marks >= m or _bd_raw(circles, stop_at=m) >= m:
+        pos = _positions(circles)
+        if marks >= m or _bd_raw(pos, stop_at=m) >= m:
             key = canonicalize(ChordDiagram(circles, marks))
             out[key] = out.get(key, Fraction(0)) + coeff
             continue
@@ -751,27 +710,18 @@ def multi_tower_reduce(d, m, c=2, limits=None):
                 "reduction exceeded the step budget; instance is beyond the "
                 "implemented desk-scale strategy"
             )
-        move = _find_multi_move(circles)
+        move = _find_multi_move(circles, pos)
         if move is None:
             # all chords pairwise noncrossing yet fewer than m of them;
             # unreachable when the h(m) chord-count precondition holds
             raise RuntimeError(
                 "stuck term with %d noncrossing chords and %d marks; "
                 "instance violates the chord-count precondition"
-                % (len(_occurrences(circles)), marks)
+                % (len(pos), marks)
             )
         circ, m_pos, fixed = move
-        fpos = _positions_by_circle(circles, fixed)[circ]
-        n = len(circles[circ])
-        fa = next(p for p in fpos if (p + 1) % n == m_pos or (m_pos + 1) % n == p)
-        fb = fpos[0] if fa == fpos[1] else fpos[1]
-        for new_circles, sign in _hop_main_terms(circles, circ, m_pos, fa, fb):
-            work.append((new_circles, marks, sign * coeff))
-        if not _is_clean_v1(circles, circ, m_pos, fixed):
-            mover = circles[circ][m_pos]
-            stripped = _remove_chord(circles, mover)
-            work.append((stripped, marks + 1, coeff))
-            work.append((stripped + ((),), marks + 1, -coeff))
+        for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
+            work.append((new_circles, marks + added, sign * coeff))
     result = DiagramSum()
     result.terms = {k: v for k, v in out.items() if v}
     return result

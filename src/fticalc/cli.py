@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Prints deterministic key=value blocks. Exit codes: 0 success, 1 domain
-error (a precondition of the requested operation fails), 2 parse error
-(unknown subcommand, malformed file or expression).
+error (a precondition of the requested operation fails, or a reduction
+gets stuck or exceeds its step budget), 2 parse error (unknown
+subcommand, malformed file or expression).
 
     fticalc blink det FILE
     fticalc blink bracket FILE [--base M]
     fticalc link casson FILE
     fticalc seifert alexander FILE
     fticalc cd degree FILE
-    fticalc cd reduce FILE --m M [--c C]
+    fticalc cd reduce FILE --m M [--c C] [--bound STEPS]
     fticalc johnson triple --g G [--C "1 0 0;0 1 0;0 0 1"]
     fticalc magnus degree WORD --N N
     fticalc sp realize --C "0 1;1 0"
@@ -111,11 +112,8 @@ def cmd_cd_degree(args):
 
 def cmd_cd_reduce(args):
     d = _parse_with(chords.ChordDiagram.from_text, _read(args.file), "diagram file")
-    if len(d.circles) <= 1:
-        total = chords.tower_reduce(d, args.m, c=args.c)
-    else:
-        limits = chords.ReductionLimits(c=args.c, max_steps=args.bound)
-        total = chords.multi_tower_reduce(d, args.m, limits=limits)
+    limits = chords.ReductionLimits(c=args.c, max_steps=args.bound)
+    total = chords.multi_tower_reduce(d, args.m, limits=limits)
     print("terms=%d" % len(total))
     for i, (term, coeff) in enumerate(total.items()):
         print("term.%d.coeff=%s" % (i, coeff))
@@ -242,7 +240,7 @@ def main(argv=None):
     except CliParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -72,6 +72,15 @@ def _columns(m, n):
     return [tuple(m.entries[i][j] for i in range(n)) for j in range(n)]
 
 
+def _sum_pieces(n, grade, pieces):
+    """The sum of c * piece over (c, piece) pairs, normalised once."""
+    acc = {}
+    for c, piece in pieces:
+        for key, v in piece.terms:
+            acc[key] = acc.get(key, 0) + c * v
+    return MultiVector(n, grade, acc)
+
+
 def lmo_delta(lam, x):
     """(lambda - 1) x on H tensor Lambda^2 H by the three-term expansion.
 
@@ -90,15 +99,17 @@ def lmo_delta(lam, x):
     def basis(k):
         return tuple(1 if t == k else 0 for t in range(n))
 
-    out = MultiVector.zero(n, "tensor12")
+    pieces = []
     for (a, i, j), c in x.terms:
         da = tuple(p - q for p, q in zip(cols[a], basis(a)))
         di = tuple(p - q for p, q in zip(cols[i], basis(i)))
         dj = tuple(p - q for p, q in zip(cols[j], basis(j)))
-        out = out + c * tensor_wedge(da, wedge((cols[i], cols[j]), n), n)
-        out = out + c * tensor_wedge(basis(a), wedge((di, cols[j]), n), n)
-        out = out + c * tensor_wedge(basis(a), wedge((basis(i), dj), n), n)
-    return out
+        pieces += [
+            (c, tensor_wedge(da, wedge((cols[i], cols[j]), n), n)),
+            (c, tensor_wedge(basis(a), wedge((di, cols[j]), n), n)),
+            (c, tensor_wedge(basis(a), wedge((basis(i), dj), n), n)),
+        ]
+    return _sum_pieces(n, "tensor12", pieces)
 
 
 def lmo1_delta(lam, w):
@@ -119,15 +130,17 @@ def lmo1_delta(lam, w):
     def basis(k):
         return tuple(1 if t == k else 0 for t in range(n))
 
-    out = MultiVector.zero(n, "wedge3")
+    pieces = []
     for (i, j, k), c in w.terms:
         di = tuple(p - q for p, q in zip(cols[i], basis(i)))
         dj = tuple(p - q for p, q in zip(cols[j], basis(j)))
         dk = tuple(p - q for p, q in zip(cols[k], basis(k)))
-        out = out + c * wedge((di, cols[j], cols[k]), n)
-        out = out + c * wedge((basis(i), dj, cols[k]), n)
-        out = out + c * wedge((basis(i), basis(j), dk), n)
-    return out
+        pieces += [
+            (c, wedge((di, cols[j], cols[k]), n)),
+            (c, wedge((basis(i), dj, cols[k]), n)),
+            (c, wedge((basis(i), basis(j), dk), n)),
+        ]
+    return _sum_pieces(n, "wedge3", pieces)
 
 
 def triple_commutator_tau(lam, w):

@@ -35,6 +35,13 @@ from fractions import Fraction
 from . import _intlinalg as la
 
 
+def _set_once(entries, key, value, what):
+    """entries[key] = value, refusing a second, different value."""
+    if entries.get(key, value) != value:
+        raise ValueError("conflicting %s entries for %s" % (what, key))
+    entries[key] = value
+
+
 class BlinkPresentation:
     """Pairing, linking and framing data of an r-pair blink.
 
@@ -116,17 +123,16 @@ class BlinkPresentation:
             if not line:
                 continue
             if line.startswith("pairs="):
+                if r is not None:
+                    raise ValueError("repeated 'pairs=' header")
                 r = int(line.split("=", 1)[1])
             elif line.startswith("lk"):
                 _, i, j, v = line.split()
                 i, j, v = int(i), int(j), int(v)
-                key = (min(i, j), max(i, j))
-                if key in lk_entries and lk_entries[key] != v:
-                    raise ValueError("conflicting lk entries for %s" % (key,))
-                lk_entries[key] = v
+                _set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
             elif line.startswith("eps"):
                 _, p, s = line.split()
-                eps_entries[int(p)] = int(s)
+                _set_once(eps_entries, int(p), int(s), "eps")
             else:
                 raise ValueError("unrecognized blink line %r" % line)
         if r is None:
@@ -193,16 +199,18 @@ class FramedLink:
             if not line:
                 continue
             if line.startswith("components="):
+                if n is not None:
+                    raise ValueError("repeated 'components=' header")
                 n = int(line.split("=", 1)[1])
             elif line.startswith("lk"):
                 _, i, j, v = line.split()
-                key = (min(int(i), int(j)), max(int(i), int(j)))
-                if key in lk_entries and lk_entries[key] != int(v):
-                    raise ValueError("conflicting lk entries for %s" % (key,))
-                lk_entries[key] = int(v)
+                i, j, v = int(i), int(j), int(v)
+                if i == j:
+                    raise ValueError("lk %d %d: a framing goes on a 'frame' line" % (i, j))
+                _set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
             elif line.startswith("frame"):
                 _, i, v = line.split()
-                frames[int(i)] = int(v)
+                _set_once(frames, int(i), int(v), "frame")
             else:
                 raise ValueError("unrecognized link line %r" % line)
         if n is None:
@@ -490,8 +498,12 @@ class SeifertMatrix:
             if not line:
                 continue
             if line.startswith("sizes="):
+                if sizes is not None:
+                    raise ValueError("repeated 'sizes=' header")
                 sizes = tuple(int(x) for x in line.split("=", 1)[1].split())
             elif line.startswith("frames="):
+                if frames is not None:
+                    raise ValueError("repeated 'frames=' header")
                 frames = tuple(int(x) for x in line.split("=", 1)[1].split())
             else:
                 rows.append(tuple(int(x) for x in line.split()))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -103,6 +103,52 @@ def test_canonicalize_properties():
     assert canonicalize(ChordDiagram([(0, 0)], marks=1)) != canonicalize(
         ChordDiagram([(0, 0)])
     )
+
+
+def oracle_canonical(d):
+    """Every circle order x every rotation/reflection of each circle,
+    relabelled by first appearance; the least of them."""
+    def turns(seq):
+        if not seq:
+            return [()]
+        return [b[r:] + b[:r] for b in (seq, seq[::-1]) for r in range(len(seq))]
+
+    best = None
+    for order in permutations(d.circles):
+        for choice in product(*(turns(seq) for seq in order)):
+            label = {}
+            cand = tuple(
+                tuple(label.setdefault(t, len(label)) for t in seq) for seq in choice
+            )
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def random_diagram(rng):
+    """1-4 circles, up to two of them empty, type I and type II chords, marks."""
+    k = rng.randint(1, 4)
+    empty = rng.sample(range(k), rng.randint(0, min(2, k - 1)))
+    live = [c for c in range(k) if c not in empty]
+    circles = [[] for _ in range(k)]
+    ntype2 = rng.randint(0, 2) if len(live) >= 2 else 0
+    for cid in range(rng.randint(0 if ntype2 else 1, 5 - 2 * ntype2)):
+        circles[rng.choice(live)] += [cid, cid]
+    for cid in range(10, 10 + ntype2):
+        for c in rng.sample(live, 2):
+            circles[c] += [cid, cid]
+    for seq in circles:
+        rng.shuffle(seq)
+    return ChordDiagram(circles, marks=rng.randint(0, 2))
+
+
+def test_canonicalize_matches_brute_force():
+    rng = random.Random(113)
+    for _ in range(300):
+        d = random_diagram(rng)
+        canon = canonicalize(d)
+        assert canon.circles == oracle_canonical(d)
+        assert canon.marks == d.marks
 
 
 def test_pigeonhole_examples():
@@ -287,6 +333,8 @@ def test_multi_tower_reduce_cases():
     # single circle delegates to tower_reduce
     star = ChordDiagram([tuple(range(8)) + tuple(range(8))])
     assert multi_tower_reduce(star, 2, c=1) == tower_reduce(star, 2, c=1)
+    limits = ReductionLimits(c=1)
+    assert multi_tower_reduce(star, 2, limits=limits) == tower_reduce(star, 2, c=1)
     # precondition on the rewriting path
     small = ChordDiagram([(0, 1, 0, 1), (0, 0), (1, 1)])
     with pytest.raises(ValueError):
@@ -329,3 +377,11 @@ def test_diagram_validation():
         ChordDiagram([(0, 0, 0), (0,)])  # 2 + 1 split
     with pytest.raises(ValueError):
         ChordDiagram([(0, 0)], marks=-1)
+    for text in (
+        "circles 1\nI 0:0 0:3\nI 0:-3 0:2\n",  # negative slot
+        "circles 1\ncircles 1\nI 0:0 0:1\n",  # repeated header
+        "circles 1\nmarks 1\nI 0:0 0:1\nmarks 2\n",
+        "circles -1\n",
+    ):
+        with pytest.raises(ValueError):
+            ChordDiagram.from_text(text)

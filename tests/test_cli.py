@@ -118,6 +118,13 @@ def test_domain_error_exit_1(tmp_path, capsys):
     status, _, err = run(capsys, ["blink", "bracket", path])
     assert status == 1
     assert "error" in err
+    # the reduction gets stuck: four crossing type II chords, c = 0
+    path = write(tmp_path, "x.cd", "circles 5\n" + "".join(
+        "II 0:%d,%d %d:0,1\n" % (i, i + 4, i + 1) for i in range(4)
+    ))
+    status, out, err = run(capsys, ["cd", "reduce", path, "--m", "3", "--c", "0"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error: stuck term")
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

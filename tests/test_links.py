@@ -368,12 +368,26 @@ def test_from_text_rejects_out_of_range_indices():
         "components=2\nlk -1 1 1\n",
         "components=2\nframe 4 1\n",
         "components=2\nframe -1 1\n",
+        "components=1\nlk 0 0 5\nframe 0 1\n",  # a framing on an lk line
+        "components=2\nframe 0 1\nframe 0 -1\n",  # conflicting framings
+        "components=2\ncomponents=2\n",  # repeated header
     ):
         with pytest.raises(ValueError):
             FramedLink.from_text(text)
-    for text in ("pairs=1\neps 7 1\n", "pairs=1\neps -1 1\n"):
+    for text in (
+        "pairs=1\neps 7 1\n",
+        "pairs=1\neps -1 1\n",
+        "pairs=1\neps 0 1\neps 0 -1\n",
+        "pairs=1\npairs=1\n",
+    ):
         with pytest.raises(ValueError):
             BlinkPresentation.from_text(text)
+    for text in (
+        "sizes=2\nsizes=2\n-1 1\n0 -1\n",
+        "sizes=2\nframes=1\nframes=1\n-1 1\n0 -1\n",
+    ):
+        with pytest.raises(ValueError):
+            SeifertMatrix.from_text(text)
 
 
 def test_file_round_trips():
