@@ -35,10 +35,6 @@ def vec_add(u, v):
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def det(m):
     """Exact integer determinant (fraction-free Bareiss)."""
     n = len(m)
@@ -153,7 +149,9 @@ def invert_unimodular(t):
     a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
          for i, row in enumerate(t)]
     for c in range(n):
-        p = next(i for i in range(c, n) if a[i][c] != 0)
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            raise ValueError("matrix is not unimodular")
         a[c], a[p] = a[p], a[c]
         inv = 1 / a[c][c]
         a[c] = [x * inv for x in a[c]]

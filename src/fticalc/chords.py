@@ -42,8 +42,9 @@ Diagram text format:
     II c1:p1,p2 c2:p3,p4
     marks <n>
 
-with 0-based circle and slot indices; slots on each circle must be
-covered exactly once. One chord line per chord, in label order.
+with 0-based circle and slot indices; the slots on a circle with n
+endpoints are exactly 0..n-1, each used once. One chord line per chord,
+in label order. _records.read sets the line rules.
 
 Diagrams are immutable and every operation is pure; DiagramSum merging
 is plain coefficient addition, so reduction branches can be evaluated
@@ -52,6 +53,8 @@ independently and merged in any order with identical results.
 
 from fractions import Fraction
 from math import comb
+
+from ._records import read
 
 
 class ChordDiagram:
@@ -126,56 +129,27 @@ class ChordDiagram:
 
     @classmethod
     def from_text(cls, text):
-        headers = {}
-        assignments = []  # (chord_index, circle, slot)
-        chord_index = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] in ("circles", "marks"):
-                if parts[0] in headers:
-                    raise ValueError("repeated %r line" % parts[0])
-                if len(parts) != 2:
-                    raise ValueError("malformed header line %r" % line)
-                headers[parts[0]] = int(parts[1])
-            elif parts[0] in ("I", "II"):
-                pts = []
-                for spec in parts[1:]:
-                    c, _, ps = spec.partition(":")
-                    for p in ps.split(","):
-                        pts.append((int(c), int(p)))
-                want = 2 if parts[0] == "I" else 4
-                if len(pts) != want:
-                    raise ValueError("chord line %r has %d endpoints, expected %d"
-                                     % (line, len(pts), want))
-                for c, p in pts:
-                    assignments.append((chord_index, c, p))
-                chord_index += 1
-            else:
-                raise ValueError("unrecognized diagram line %r" % line)
-        ncircles = headers.get("circles")
-        if ncircles is None:
-            raise ValueError("missing 'circles <k>' header")
+        head, recs, _ = read(text.splitlines(), {"circles": "#"}, optional={"marks": "#"},
+                             records={"I": "#:# #:#", "II": "#:#,# #:#,#"})
+        (ncircles,) = head["circles"]
         if ncircles < 0:
             raise ValueError("negative circle count")
-        lengths = [0] * ncircles
-        for _, c, p in assignments:
-            if not 0 <= c < ncircles:
-                raise ValueError("circle index out of range")
-            if p < 0:
-                raise ValueError("negative slot index %d:%d" % (c, p))
-            lengths[c] = max(lengths[c], p + 1)
-        circles = [[None] * lengths[c] for c in range(ncircles)]
-        for cid, c, p in assignments:
-            if circles[c][p] is not None:
-                raise ValueError("slot %d:%d used twice" % (c, p))
-            circles[c][p] = cid
-        for c, seq in enumerate(circles):
-            if any(tok is None for tok in seq):
-                raise ValueError("circle %d has an unused slot" % c)
-        return cls(circles, headers.get("marks", 0))
+        chords = [((a, p), (b, q)) for a, p, b, q in recs["I"]]
+        chords += [((a, p), (a, q), (b, r), (b, s)) for a, p, q, b, r, s in recs["II"]]
+        slots = {}  # circle -> {slot: chord index}
+        for cid, points in enumerate(chords):
+            for c, p in points:
+                if not 0 <= c < ncircles:
+                    raise ValueError("circle index out of range")
+                if slots.setdefault(c, {}).setdefault(p, cid) != cid:
+                    raise ValueError("slot %d:%d used twice" % (c, p))
+        circles = [()] * ncircles
+        for c, seq in slots.items():
+            if any(not 0 <= p < len(seq) for p in seq):
+                raise ValueError("the slots on circle %d are not 0..%d" % (c, len(seq) - 1))
+            circles[c] = [seq[p] for p in range(len(seq))]
+        (marks,) = head.get("marks", (0,))
+        return cls(circles, marks)
 
 
 def _positions(circles):
@@ -619,32 +593,19 @@ def tower_reduce(d, m, c=2):
 # -- multi-circle reduction --------------------------------------------------
 
 class ReductionLimits:
-    """Constants of the multi-circle reduction thresholds.
+    """Constants of the multi-circle reduction.
 
-    The proofs determine them only up to constants; these defaults keep
-    h(m) = c * m^13 and the auxiliary g-functions at their minimal
-    shapes. max_steps bounds the rewriting loop so the search is a
-    semidecision at desk scale.
+    The proofs determine the chord-count threshold h(m) = c * m^13 only
+    up to the constant c. max_steps bounds the rewriting loop so the
+    search is a semidecision at desk scale.
     """
 
-    def __init__(self, c=2, c0=2, c1=2, c2=2, max_steps=200000):
+    def __init__(self, c=2, max_steps=200000):
         self.c = c
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
         self.max_steps = max_steps
 
     def h(self, m):
         return self.c * m ** 13
-
-    def g0(self, m):
-        return self.c0 * m ** 12
-
-    def g1(self, m):
-        return self.c1 * m ** 4
-
-    def g2(self, m):
-        return self.c2 * m ** 3
 
 
 def _find_multi_move(circles, pos):

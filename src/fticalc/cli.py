@@ -24,6 +24,7 @@ import sys
 from . import chords, groupring, johnson, links, symplectic
 from .exterior import wedge
 from ._intlinalg import identity as _identity
+from ._records import read
 
 
 class CliParseError(ValueError):
@@ -41,14 +42,7 @@ def _read(path):
 
 
 def _parse_matrix(spec):
-    try:
-        rows = [
-            tuple(int(x) for x in row.split())
-            for row in spec.split(";")
-            if row.strip()
-        ]
-    except ValueError:
-        raise CliParseError("matrix entries must be integers: %r" % spec)
+    _, _, rows = _parse_with(lambda s: read(s.split(";"), {}, rows=True), spec, "matrix")
     if not rows or any(len(r) != len(rows) for r in rows):
         raise CliParseError("matrix must be square: %r" % spec)
     return tuple(rows)
@@ -240,7 +234,7 @@ def main(argv=None):
     except CliParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

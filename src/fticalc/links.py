@@ -17,7 +17,7 @@ pairs ("pair", p) so links and blinks can be expanded jointly. Terms of
 an expansion are disjoint by descriptor, so the subset lattice can be
 expanded in independent chunks and merged by plain addition.
 
-File formats (whitespace-insensitive, line order free):
+File formats (line order free; _records.read sets the line rules):
 
     blink:    pairs=<r>            pair p is components (2p, 2p+1)
               lk i j v             linking of components i, j
@@ -33,13 +33,7 @@ File formats (whitespace-insensitive, line order free):
 from fractions import Fraction
 
 from . import _intlinalg as la
-
-
-def _set_once(entries, key, value, what):
-    """entries[key] = value, refusing a second, different value."""
-    if entries.get(key, value) != value:
-        raise ValueError("conflicting %s entries for %s" % (what, key))
-    entries[key] = value
+from ._records import read, set_once
 
 
 class BlinkPresentation:
@@ -115,36 +109,23 @@ class BlinkPresentation:
 
     @classmethod
     def from_text(cls, text):
-        r = None
-        lk_entries = {}
-        eps_entries = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("pairs="):
-                if r is not None:
-                    raise ValueError("repeated 'pairs=' header")
-                r = int(line.split("=", 1)[1])
-            elif line.startswith("lk"):
-                _, i, j, v = line.split()
-                i, j, v = int(i), int(j), int(v)
-                _set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
-            elif line.startswith("eps"):
-                _, p, s = line.split()
-                _set_once(eps_entries, int(p), int(s), "eps")
-            else:
-                raise ValueError("unrecognized blink line %r" % line)
-        if r is None:
-            raise ValueError("missing 'pairs=<r>' header")
+        head, recs, _ = read(text.splitlines(), {"pairs=": "#"},
+                             records={"lk": "# # #", "eps": "# #"})
+        (r,) = head["pairs="]
         n = 2 * r
-        lk = [[0] * n for _ in range(n)]
-        for (i, j), v in lk_entries.items():
+        lk_entries = {}
+        for i, j, v in recs["lk"]:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError("lk indices out of range")
+            set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
+        eps_entries = {}
+        for p, s in recs["eps"]:
+            if not 0 <= p < r:
+                raise ValueError("eps pair out of range")
+            set_once(eps_entries, p, s, "eps")
+        lk = [[0] * n for _ in range(n)]
+        for (i, j), v in lk_entries.items():
             lk[i][j] = lk[j][i] = v
-        if any(not 0 <= p < r for p in eps_entries):
-            raise ValueError("eps pair out of range")
         eps = [eps_entries.get(p) for p in range(r)]
         return cls(r, lk, eps)
 
@@ -191,39 +172,23 @@ class FramedLink:
 
     @classmethod
     def from_text(cls, text):
-        n = None
-        lk_entries = {}
-        frames = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("components="):
-                if n is not None:
-                    raise ValueError("repeated 'components=' header")
-                n = int(line.split("=", 1)[1])
-            elif line.startswith("lk"):
-                _, i, j, v = line.split()
-                i, j, v = int(i), int(j), int(v)
-                if i == j:
-                    raise ValueError("lk %d %d: a framing goes on a 'frame' line" % (i, j))
-                _set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
-            elif line.startswith("frame"):
-                _, i, v = line.split()
-                _set_once(frames, int(i), int(v), "frame")
-            else:
-                raise ValueError("unrecognized link line %r" % line)
-        if n is None:
-            raise ValueError("missing 'components=<n>' header")
-        lk = [[0] * n for _ in range(n)]
-        for (i, j), v in lk_entries.items():
+        head, recs, _ = read(text.splitlines(), {"components=": "#"},
+                             records={"lk": "# # #", "frame": "# #"})
+        (n,) = head["components="]
+        entries = {}
+        for i, j, v in recs["lk"]:
+            if i == j:
+                raise ValueError("lk %d %d: a framing goes on a 'frame' line" % (i, j))
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("lk indices out of range")
-            lk[i][j] = lk[j][i] = v
-        for i, v in frames.items():
+            set_once(entries, (min(i, j), max(i, j)), v, "lk")
+        for i, v in recs["frame"]:
             if not 0 <= i < n:
                 raise ValueError("frame index out of range")
-            lk[i][i] = v
+            set_once(entries, (i, i), v, "frame")
+        lk = [[0] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            lk[i][j] = lk[j][i] = v
         return cls(n, lk)
 
 
@@ -490,25 +455,11 @@ class SeifertMatrix:
 
     @classmethod
     def from_text(cls, text):
-        sizes = None
-        frames = None
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("sizes="):
-                if sizes is not None:
-                    raise ValueError("repeated 'sizes=' header")
-                sizes = tuple(int(x) for x in line.split("=", 1)[1].split())
-            elif line.startswith("frames="):
-                if frames is not None:
-                    raise ValueError("repeated 'frames=' header")
-                frames = tuple(int(x) for x in line.split("=", 1)[1].split())
-            else:
-                rows.append(tuple(int(x) for x in line.split()))
-        if sizes is None:
-            raise ValueError("missing 'sizes=' header")
+        head, _, rows = read(text.splitlines(), {"sizes=": "*"},
+                             optional={"frames=": "*"}, rows=True)
+        sizes, frames = head["sizes="], head.get("frames=")
+        if frames is not None and len(frames) != len(sizes):
+            raise ValueError("need one 'frames=' value per block")
         return cls(sizes, rows), frames
 
 

@@ -12,6 +12,7 @@ everything here can be shared freely between threads.
 """
 
 from . import _intlinalg as la
+from ._records import read
 
 
 class IncompatibleLagrangians(ValueError):
@@ -83,14 +84,16 @@ class SymplecticLattice:
 
     @classmethod
     def from_text(cls, text):
-        return cls(_parse_header(text.strip().splitlines()[0]))
+        head, _, _ = read(text.splitlines(), {"g=": "#"})
+        return cls(*head["g="])
 
 
-def _parse_header(line):
-    line = line.strip()
-    if not line.startswith("g="):
-        raise ValueError("expected header line 'g=<int>'")
-    return int(line[2:])
+def _read_lattice_rows(text):
+    """The lattice of the first line, 'g=<g>', and the integer rows after it."""
+    lines = text.strip().splitlines()
+    head, _, _ = read(lines[:1], {"g=": "#"})
+    _, _, rows = read(lines[1:], {}, rows=True)
+    return SymplecticLattice(*head["g="]), rows
 
 
 class Sublattice:
@@ -164,10 +167,7 @@ class Sublattice:
 
     @classmethod
     def from_text(cls, text):
-        lines = [l for l in text.strip().splitlines() if l.strip()]
-        lat = SymplecticLattice(_parse_header(lines[0]))
-        rows = [tuple(int(x) for x in l.split()) for l in lines[1:]]
-        return cls(lat, rows)
+        return cls(*_read_lattice_rows(text))
 
 
 class SpMatrix:
@@ -253,10 +253,7 @@ class SpMatrix:
 
     @classmethod
     def from_text(cls, text):
-        lines = [l for l in text.strip().splitlines() if l.strip()]
-        lat = SymplecticLattice(_parse_header(lines[0]))
-        rows = [tuple(int(x) for x in l.split()) for l in lines[1:]]
-        return cls(lat, rows)
+        return cls(*_read_lattice_rows(text))
 
 
 def compose(a, b):

@@ -382,6 +382,10 @@ def test_diagram_validation():
         "circles 1\ncircles 1\nI 0:0 0:1\n",  # repeated header
         "circles 1\nmarks 1\nI 0:0 0:1\nmarks 2\n",
         "circles -1\n",
+        "circles 1\nI 0:0 0:5000000\n",  # rejected before any slot list is built
+        "circles 1\nI 0:0,1\n",  # a type I line has two c:p fields
+        "circles 1\nII 0:0,1 0:2,3,4\n",
+        "circles 1\nIx 0:0 0:1\n",
     ):
         with pytest.raises(ValueError):
             ChordDiagram.from_text(text)

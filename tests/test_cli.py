@@ -125,6 +125,18 @@ def test_domain_error_exit_1(tmp_path, capsys):
     status, out, err = run(capsys, ["cd", "reduce", path, "--m", "3", "--c", "0"])
     assert (status, out) == (1, "")
     assert err.startswith("error: stuck term")
+    # integers too large for a list size end in an error line, not a traceback
+    huge = "99999999999999999999"
+    for argv, text in (
+        (["cd", "degree"], "circles %s\n" % huge),
+        (["blink", "det"], "pairs=%s\n" % huge),
+        (["sp", "realize", "--C", huge], None),
+    ):
+        if text is not None:
+            argv = argv + [write(tmp_path, "huge.txt", text)]
+        status, out, err = run(capsys, argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -135,6 +147,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert status == 2
     status, _, err = run(capsys, ["sp", "realize", "--C", "1 2;3"])
     assert status == 2
+    for argv, text in (
+        (["cd", "degree"], "circles 1\nI 0:0 0:99999999999999999999\n"),
+        (["link", "casson"], "sizes=2\nframes=1 1 1\n-1 1\n0 -1\n"),
+        (["blink", "det"], "pairs=1\nlkx 0 1 2\neps 0 1\n"),
+    ):
+        status, out, err = run(capsys, argv + [write(tmp_path, "bad.txt", text)])
+        assert (status, out) == (2, "")
+        assert err.startswith("parse error:")
 
 
 def test_out_of_range_eps_exit_2(tmp_path, capsys):

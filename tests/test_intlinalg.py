@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from fticalc._intlinalg import (
     complete_to_unimodular,
     coords_in_basis,
@@ -7,6 +9,7 @@ from fticalc._intlinalg import (
     identity,
     in_rowspan_z,
     int_kernel,
+    invert_unimodular,
     mat_mul,
     rank,
     row_hnf,
@@ -93,6 +96,14 @@ def test_complete_to_unimodular():
             continue
         comp = complete_to_unimodular(b, w)
         assert abs(det(b + comp)) == 1
+
+
+def test_invert_unimodular():
+    t = ((2, 1), (1, 1))
+    assert mat_mul(t, invert_unimodular(t)) == identity(2)
+    for singular_or_not_unit in (((1, 1), (1, 1)), ((2, 0), (0, 1))):
+        with pytest.raises(ValueError, match="not unimodular"):
+            invert_unimodular(singular_or_not_unit)
 
 
 def test_membership_and_coords():

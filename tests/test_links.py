@@ -371,6 +371,7 @@ def test_from_text_rejects_out_of_range_indices():
         "components=1\nlk 0 0 5\nframe 0 1\n",  # a framing on an lk line
         "components=2\nframe 0 1\nframe 0 -1\n",  # conflicting framings
         "components=2\ncomponents=2\n",  # repeated header
+        "components=2\nframes 0 1\n",  # keywords match exactly
     ):
         with pytest.raises(ValueError):
             FramedLink.from_text(text)
@@ -379,12 +380,17 @@ def test_from_text_rejects_out_of_range_indices():
         "pairs=1\neps -1 1\n",
         "pairs=1\neps 0 1\neps 0 -1\n",
         "pairs=1\npairs=1\n",
+        "pairs=1\nlkx 0 1 2\n",
+        "pairs=1\nepsilon 0 1\n",
+        "pairs=1\nlk 0 1\n",
     ):
         with pytest.raises(ValueError):
             BlinkPresentation.from_text(text)
     for text in (
         "sizes=2\nsizes=2\n-1 1\n0 -1\n",
         "sizes=2\nframes=1\nframes=1\n-1 1\n0 -1\n",
+        "sizes=2\nframes=1 1 1\n-1 1\n0 -1\n",  # one frame per block
+        "sizes=2\n-1 1\n0 x\n",
     ):
         with pytest.raises(ValueError):
             SeifertMatrix.from_text(text)

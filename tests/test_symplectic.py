@@ -270,3 +270,11 @@ def test_text_round_trips():
     assert Sublattice.from_text(s.to_text()) == s
     t = transvection(lat, vec_add(lat.e(1), lat.e(2)), -1)
     assert SpMatrix.from_text(t.to_text()) == t
+    for cls in (SymplecticLattice, Sublattice, SpMatrix):
+        for text in ("", "1 0 0 0\n", "g=2\ng=2\n", "g=2 3\n", "g=x\n"):
+            with pytest.raises(ValueError):
+                cls.from_text(text)
+    with pytest.raises(ValueError):
+        SymplecticLattice.from_text("g=2\n1 2 3\nfoo\n")
+    with pytest.raises(ValueError):
+        Sublattice.from_text("g=2\n1 0 0 0\nfoo\n")
