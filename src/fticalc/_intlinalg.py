@@ -126,6 +126,8 @@ def int_kernel(rows, width):
 
 def saturate(rows, width):
     """Canonical basis of the saturation (Q-span intersected with Z^width)."""
+    if not any(any(row) for row in rows):
+        return ()
     ann = int_kernel(rows, width)
     return int_kernel(ann, width)
 

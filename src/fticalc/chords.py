@@ -19,16 +19,16 @@ each with one extra blink marker and the moving chord removed; the
 second of the pair keeps an inert extra circle recording its leftover
 closed component. At most two markers are added per application.
 
-Tower reduction brings a single-circle diagram, modulo these moves, to a
-sum in which every term has boundary degree >= m (or >= m markers):
-level by level it takes an (m-1)-tower, partitions the circle into arcs
-at the tower endpoints, picks by pigeonhole an arc pair joined by at
-least m chords (the "special" ones) and sorts the specials until they
-are pairwise disjoint. Multi-circle reduction uncrosses chords circle by
-circle with the same moves. One move kernel serves four_term and both
-reductions: it locates the fixed endpoints on the moving circle, builds
-the three main terms and, unless the move is a clean version 1 (both
-chords on the moving circle alone), the marked error pair.
+Reduction brings a diagram, modulo these moves, to a sum in which every
+term has boundary degree >= m (or >= m markers). One engine keeps a
+frontier of exact states (circles, marks, plan) with summed coefficients,
+so paths that meet in a state share one expansion. It has two move
+strategies. On one circle, level by level: take a (level-1)-tower, pick
+by pigeonhole an arc pair between tower endpoints joined by >= level
+chords (the specials), sort the specials until pairwise disjoint. On
+several circles: uncross chords circle by circle. One move kernel serves
+four_term and the engine: the three main terms and, unless the move is a
+clean version 1 (both chords on the moving circle alone), the error pair.
 
 The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
@@ -52,7 +52,7 @@ independently and merged in any order with identical results.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from ._records import read
 
@@ -466,8 +466,8 @@ def _arc_structure(seq, s_ids):
     """Arc decomposition of a circle at the tower endpoints.
 
     Arcs are numbered by the tower endpoint that opens them, in list
-    order; the last arc wraps around. Tower tokens never move during a
-    lift, so arc numbers stay meaningful across rewrites of a plan.
+    order; the last arc wraps around. Tower tokens never move within a
+    level, so arc numbers stay meaningful across rewrites of a plan.
     Returns (arc_of_pos, arcs) with arcs[k] the interior positions in
     arc order.
     """
@@ -488,78 +488,99 @@ def _arc_structure(seq, s_ids):
     return arc_of, arcs
 
 
-def _make_plan(seq, pos, masks, level):
-    size, chosen = _mis(masks)
-    if size != level - 1:
-        raise RuntimeError("lift entered with wrong boundary degree")
-    ids = sorted(pos)
-    s_ids = frozenset(ids[i] for i in range(len(ids)) if chosen >> i & 1)
-    arc_of, arcs = _arc_structure(seq, s_ids)
-    classes = {}
-    for cid in ids:
-        if cid in s_ids:
-            continue
-        p1, p2 = pos[cid][0]
-        pair = tuple(sorted((arc_of[p1], arc_of[p2])))
-        if pair[0] == pair[1]:
-            raise RuntimeError("same-arc chord contradicts the degree bound")
-        classes.setdefault(pair, []).append(cid)
-    key = max(sorted(classes), key=lambda k: len(classes[k]))
-    if len(classes[key]) < level:
-        raise RuntimeError("pigeonhole bound violated")
-    alpha_arc, beta_arc = key
-    specials = classes[key]
-    beta_order = [p for p in arcs[beta_arc] if seq[p] in specials]
-    target = tuple(reversed([seq[p] for p in beta_order]))
-    return (s_ids, alpha_arc, beta_arc, frozenset(specials), target)
-
-
-def _next_move(circles, plan):
-    """The next sorting move: (moving position, fixed chord id) on circle 0."""
-    s_ids, alpha_arc, beta_arc, specials, target = plan
+def _next_move(circles, pos, plan, level):
+    """The next sorting move on circle 0: (0, moving position, fixed chord
+    id, plan). A state entering a level has no plan yet; it gets one here
+    (tower, special arc, specials, their target order), and every term a
+    move produces inherits it."""
     seq = circles[0]
-    arc_of, arcs = _arc_structure(seq, s_ids)
-    alpha_positions = arcs[alpha_arc]
+    if plan is None:
+        size, chosen = _mis(_adjacency_masks(pos))
+        if size != level - 1:
+            raise RuntimeError("lift entered with wrong boundary degree")
+        ids = sorted(pos)
+        s_ids = frozenset(ids[i] for i in range(len(ids)) if chosen >> i & 1)
+        arc_of, arcs = _arc_structure(seq, s_ids)
+        classes = {}
+        for cid in ids:
+            if cid in s_ids:
+                continue
+            p1, p2 = pos[cid][0]
+            pair = tuple(sorted((arc_of[p1], arc_of[p2])))
+            if pair[0] == pair[1]:
+                raise RuntimeError("same-arc chord contradicts the degree bound")
+            classes.setdefault(pair, []).append(cid)
+        key = max(sorted(classes), key=lambda k: len(classes[k]))
+        if len(classes[key]) < level:
+            raise RuntimeError("pigeonhole bound violated")
+        alpha_arc, beta_arc = key
+        specials = frozenset(classes[key])
+        target = tuple(reversed([seq[p] for p in arcs[beta_arc] if seq[p] in specials]))
+        plan = (s_ids, alpha_arc, specials, target)
+    s_ids, alpha_arc, specials, target = plan
+    alpha_positions = _arc_structure(seq, s_ids)[1][alpha_arc]
     order = [seq[p] for p in alpha_positions if seq[p] in specials]
     if len(order) != len(target):
         raise RuntimeError("a special chord left its class")
     idx = next((i for i in range(len(order)) if order[i] != target[i]), None)
     if idx is None:
-        return None
+        raise RuntimeError("sorted specials must yield the degree bound")
     want = target[idx]
     p = next(q for q in alpha_positions if seq[q] == want)
     prev = (p - 1) % len(seq)
     if seq[prev] in s_ids:
         raise RuntimeError("sorting walked out of the arc")
     if seq[prev] in specials:
-        return (p, seq[prev])  # swap two specials: move `want` leftwards
-    return (prev, want)  # bump the blocking nonspecial rightwards past `want`
+        return (0, p, seq[prev], plan)  # swap two specials: move `want` leftwards
+    return (0, prev, want, plan)  # bump the blocking nonspecial rightwards past `want`
 
 
-def _lift(entries, level, out_terms):
-    """Raise every entry to boundary degree >= level by sorting moves.
+def _reduce(terms, m, level, next_move, max_steps):
+    """Rewrite terms {(circles, marks): coeff} until every term has
+    boundary degree >= level or >= m marks; the result has the same form.
 
-    entries: list of (circles, coeff); finished terms are accumulated
-    into out_terms as (circles, coeff).
+    The frontier is keyed on the exact state (circles, marks, plan), so
+    the paths that reach a state before it is taken have their
+    coefficients summed and share one retirement or expansion; a state
+    whose coefficient cancels to 0 is dropped. next_move(circles,
+    pos, plan, level) is a pure function of the state and returns
+    (circle, moving position, fixed chord id, plan) or None when no move
+    applies, so by linearity neither the merging nor the order changes
+    the sum. max_steps bounds the number of expansions.
     """
-    work = [(c, co, None) for c, co in entries]
-    while work:
-        circles, coeff, plan = work.pop()
-        pos = _positions(circles)
-        masks = _adjacency_masks(pos)
-        if _mis(masks, stop_at=level)[0] >= level:
-            out_terms.append((circles, coeff))
+    frontier = {(circles, marks, None): co for (circles, marks), co in terms.items()}
+    done = {}
+    steps = 0
+    while frontier:
+        key = next(iter(frontier))
+        coeff = frontier.pop(key)
+        if not coeff:
             continue
-        if plan is None:
-            plan = _make_plan(circles[0], pos, masks, level)
-        move = _next_move(circles, plan)
+        circles, marks, plan = key
+        pos = _positions(circles)
+        if marks >= m or _bd_raw(pos, stop_at=level) >= level:
+            done[circles, marks] = done.get((circles, marks), 0) + coeff
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError(
+                "reduction exceeded the step budget; instance is beyond the "
+                "implemented desk-scale strategy"
+            )
+        move = next_move(circles, pos, plan, level)
         if move is None:
-            raise RuntimeError("sorted specials must yield the degree bound")
-        m_pos, fixed = move
-        # on one circle every move is a clean version 1: no error terms
-        for new_circles, _, sign in _move(circles, pos, 0, m_pos, fixed):
-            work.append((new_circles, sign * coeff, plan))
-    return out_terms
+            # all chords pairwise noncrossing yet fewer than `level` of them;
+            # unreachable when the chord-count precondition holds
+            raise RuntimeError(
+                "stuck term with %d noncrossing chords and %d marks; "
+                "instance violates the chord-count precondition"
+                % (len(pos), marks)
+            )
+        circ, m_pos, fixed, plan = move
+        for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
+            child = (new_circles, marks + added, plan)
+            frontier[child] = frontier.get(child, 0) + sign * coeff
+    return done
 
 
 def tower_reduce(d, m, c=2):
@@ -582,12 +603,10 @@ def tower_reduce(d, m, c=2):
         raise ValueError(
             "need at least c*m^3 = %d chords, have %d" % (c * m ** 3, d.chord_count)
         )
-    current = [(d.circles, Fraction(1))]
+    terms = {(d.circles, d.marks): 1}
     for level in range(2, m + 1):
-        done = []
-        _lift(current, level, done)
-        current = done
-    return DiagramSum((ChordDiagram(circ, d.marks), co) for circ, co in current)
+        terms = _reduce(terms, m, level, _next_move, inf)
+    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in terms.items())
 
 
 # -- multi-circle reduction --------------------------------------------------
@@ -596,7 +615,8 @@ class ReductionLimits:
     """Constants of the multi-circle reduction.
 
     The proofs determine the chord-count threshold h(m) = c * m^13 only
-    up to the constant c. max_steps bounds the rewriting loop so the
+    up to the constant c. max_steps bounds the number of states the
+    rewriting expands (paths that meet in a state count once), so the
     search is a semidecision at desk scale.
     """
 
@@ -608,8 +628,9 @@ class ReductionLimits:
         return self.c * m ** 13
 
 
-def _find_multi_move(circles, pos):
-    """A legal uncrossing move: (circle, moving pos, fixed id) or None."""
+def _find_multi_move(circles, pos, plan, level):
+    """A legal uncrossing move: (circle, moving pos, fixed id, None) or
+    None. Uncrossing keeps no plan, so plan and level are not read."""
     ids = sorted(pos)
     for x, seq in enumerate(circles):
         on_x = [cid for cid in ids if len(pos[cid].get(x, ())) == 2]
@@ -624,11 +645,11 @@ def _find_multi_move(circles, pos):
                 nxt = (q + 1) % len(seq)
                 blocker = seq[nxt]
                 if blocker == a:
-                    return (x, q, a)
+                    return (x, q, a, None)
                 if len(pos[blocker].get(x, ())) == 2:
-                    return (x, q, blocker)
+                    return (x, q, blocker, None)
                 # blocker cannot anchor a move; bump it across b instead
-                return (x, nxt, b)
+                return (x, nxt, b, None)
     return None
 
 
@@ -655,34 +676,5 @@ def multi_tower_reduce(d, m, c=2, limits=None):
         raise ValueError(
             "need at least h(m) = %d chords, have %d" % (limits.h(m), d.chord_count)
         )
-    work = [(d.circles, d.marks, Fraction(1))]
-    out = {}
-    steps = 0
-    while work:
-        circles, marks, coeff = work.pop()
-        pos = _positions(circles)
-        if marks >= m or _bd_raw(pos, stop_at=m) >= m:
-            key = canonicalize(ChordDiagram(circles, marks))
-            out[key] = out.get(key, Fraction(0)) + coeff
-            continue
-        steps += 1
-        if steps > limits.max_steps:
-            raise RuntimeError(
-                "reduction exceeded the step budget; instance is beyond the "
-                "implemented desk-scale strategy"
-            )
-        move = _find_multi_move(circles, pos)
-        if move is None:
-            # all chords pairwise noncrossing yet fewer than m of them;
-            # unreachable when the h(m) chord-count precondition holds
-            raise RuntimeError(
-                "stuck term with %d noncrossing chords and %d marks; "
-                "instance violates the chord-count precondition"
-                % (len(pos), marks)
-            )
-        circ, m_pos, fixed = move
-        for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
-            work.append((new_circles, marks + added, sign * coeff))
-    result = DiagramSum()
-    result.terms = {k: v for k, v in out.items() if v}
-    return result
+    terms = _reduce({(d.circles, d.marks): 1}, m, m, _find_multi_move, limits.max_steps)
+    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in terms.items())

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Prints deterministic key=value blocks. Exit codes: 0 success, 1 domain
-error (a precondition of the requested operation fails, or a reduction
-gets stuck or exceeds its step budget), 2 parse error (unknown
-subcommand, malformed file or expression).
+error (a precondition of the requested operation fails, a reduction
+gets stuck or expands more states than --bound allows, or memory runs
+out), 2 parse error (unknown subcommand, malformed file or expression).
 
     fticalc blink det FILE
     fticalc blink bracket FILE [--base M]
@@ -200,7 +200,8 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", type=int, default=2)
     p.add_argument("--bound", type=int, default=200000,
-                   help="rewriting step budget for multi-circle reduction")
+                   help="most states multi-circle reduction may expand; paths "
+                   "that meet in a state count once")
     p.set_defaults(func=cmd_cd_reduce)
 
     jo = sub.add_parser("johnson", help="difference-action calculus")
@@ -236,6 +237,9 @@ def main(argv=None):
         return 2
     except (ValueError, RuntimeError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -354,6 +354,12 @@ def test_multi_tower_reduce_general_loop():
         assert boundary_degree(term) >= 2 or term.marks >= 2
     # error branches add at most 2 marks per move and appear here
     assert any(t.marks > 0 for t in s.terms)
+    # the step budget counts distinct expanded states: this one takes three
+    with pytest.raises(RuntimeError, match="step budget"):
+        multi_tower_reduce(big, 2, limits=ReductionLimits(c=0, max_steps=2))
+    bounded = multi_tower_reduce(big, 2, limits=ReductionLimits(c=0, max_steps=3))
+    assert len(bounded) == 10
+    assert bounded == multi_tower_reduce(big, 2, limits=ReductionLimits(c=0))
 
 
 def test_text_round_trip():

@@ -1,8 +1,13 @@
+import hashlib
 import io
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import fticalc
 from fticalc.cli import main
 
 BLINK_1PAIR = "pairs=1\nlk 0 1 3\neps 0 1\n"
@@ -12,6 +17,103 @@ TWO_BLOCKS_SF = (
     "sizes=2 2\nframes=1 1\n"
     "-1 1 0 0\n0 -1 0 0\n0 0 1 1\n0 0 0 -1\n"
 )
+
+
+def crossing_text(rotation):
+    """Four pairwise-crossing type II chords, each tied to its own circle,
+    with circle 0 rotated by `rotation` slots."""
+    return "circles 5\n" + "".join(
+        "II 0:%d,%d %d:0,1\n" % (*sorted(((i + rotation) % 8, (i + 4 + rotation) % 8)), i + 1)
+        for i in range(4)
+    )
+
+
+def star_text(n, swaps=()):
+    """n pairwise-crossing chords; each slot in swaps trades places with
+    the next one."""
+    seq = list(range(n)) * 2
+    for p in swaps:
+        seq[p], seq[p + 1] = seq[p + 1], seq[p]
+    slots = {}
+    for p, tok in enumerate(seq):
+        slots.setdefault(tok, []).append(p)
+    return "circles 1\n" + "".join("I 0:%d 0:%d\n" % tuple(slots[i]) for i in range(n))
+
+
+# `cd reduce` stdout, recorded before the two reduction loops became one
+# engine; any change of the chosen moves or towers shows up here.
+CROSSING_M2_STDOUT = """\
+terms=10
+term.0.coeff=1
+term.0.diagram=circles 7;II 4:0,1 5:0,2;II 5:1,3 6:0,1;marks 2
+term.0.boundary_degree=1
+term.0.marks=2
+term.1.coeff=-2
+term.1.diagram=circles 6;II 3:0,1 4:0,2;II 4:1,3 5:0,1;marks 2
+term.1.boundary_degree=1
+term.1.marks=2
+term.2.coeff=1
+term.2.diagram=circles 6;II 2:0,1 3:0,1;II 3:2,4 4:0,1;II 3:3,5 5:0,1;marks 1
+term.2.boundary_degree=2
+term.2.marks=1
+term.3.coeff=1
+term.3.diagram=circles 5;II 2:0,1 3:0,2;II 3:1,3 4:0,1;marks 2
+term.3.boundary_degree=1
+term.3.marks=2
+term.4.coeff=-2
+term.4.diagram=circles 6;II 2:0,1 3:0,2;II 3:1,4 4:0,1;II 3:3,5 5:0,1;marks 1
+term.4.boundary_degree=2
+term.4.marks=1
+term.5.coeff=-1
+term.5.diagram=circles 5;II 1:0,1 2:0,1;II 2:2,4 3:0,1;II 2:3,5 4:0,1;marks 1
+term.5.boundary_degree=2
+term.5.marks=1
+term.6.coeff=2
+term.6.diagram=circles 5;II 1:0,1 2:0,2;II 2:1,4 3:0,1;II 2:3,5 4:0,1;marks 1
+term.6.boundary_degree=2
+term.6.marks=1
+term.7.coeff=-1
+term.7.diagram=circles 5;II 0:0,1 1:0,1;II 1:2,5 2:0,1;II 1:3,6 3:0,1;II 1:4,7 4:0,1
+term.7.boundary_degree=2
+term.7.marks=0
+term.8.coeff=1
+term.8.diagram=circles 5;II 0:0,1 1:0,2;II 1:1,5 2:0,1;II 1:3,6 3:0,1;II 1:4,7 4:0,1
+term.8.boundary_degree=2
+term.8.marks=0
+term.9.coeff=1
+term.9.diagram=circles 5;II 0:0,1 1:0,3;II 1:1,5 2:0,1;II 1:2,6 3:0,1;II 1:4,7 4:0,1
+term.9.boundary_degree=2
+term.9.marks=0
+"""
+
+STAR16_M2_STDOUT = """\
+terms=3
+term.0.coeff=-1
+term.0.diagram=circles 1;I 0:0 0:1;I 0:2 0:17;I 0:3 0:18;I 0:4 0:19;I 0:5 0:20;I 0:6 0:21;\
+I 0:7 0:22;I 0:8 0:23;I 0:9 0:24;I 0:10 0:25;I 0:11 0:26;I 0:12 0:27;I 0:13 0:28;I 0:14 0:29;\
+I 0:15 0:30;I 0:16 0:31
+term.0.boundary_degree=2
+term.0.marks=0
+term.1.coeff=1
+term.1.diagram=circles 1;I 0:0 0:2;I 0:1 0:17;I 0:3 0:18;I 0:4 0:19;I 0:5 0:20;I 0:6 0:21;\
+I 0:7 0:22;I 0:8 0:23;I 0:9 0:24;I 0:10 0:25;I 0:11 0:26;I 0:12 0:27;I 0:13 0:28;I 0:14 0:29;\
+I 0:15 0:30;I 0:16 0:31
+term.1.boundary_degree=2
+term.1.marks=0
+term.2.coeff=1
+term.2.diagram=circles 1;I 0:0 0:15;I 0:1 0:17;I 0:2 0:18;I 0:3 0:19;I 0:4 0:20;I 0:5 0:21;\
+I 0:6 0:22;I 0:7 0:23;I 0:8 0:24;I 0:9 0:25;I 0:10 0:26;I 0:11 0:27;I 0:12 0:28;I 0:13 0:29;\
+I 0:14 0:30;I 0:16 0:31
+term.2.boundary_degree=2
+term.2.marks=0
+"""
+
+# sha256 of the stdout of `cd reduce --m 3` on the 54-chord star (9 terms)
+# and on the same star with three adjacent-endpoint swaps (3 terms). The
+# stars' symmetry hides which maximum set a tower is taken from; the
+# perturbed one shows it.
+STAR54_M3_SHA256 = "af10caec30bc77a99db83baa65179cbb4004a866d21b87771a570f25b31718de"
+PERTURBED54_M3_SHA256 = "8302b02fb96d150ae4ecfa43e46821d01fa43af4661c82fe69fa216648bb8792"
 
 
 def run(capsys, argv, stdin=None):
@@ -90,6 +192,22 @@ def test_cd_reduce(tmp_path, capsys):
     assert out == out2
 
 
+def test_cd_reduce_golden(tmp_path, capsys):
+    for rotation in (0, 1):
+        path = write(tmp_path, "x%d.cd" % rotation, crossing_text(rotation))
+        status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "2", "--c", "0"])
+        assert (status, out) == (0, CROSSING_M2_STDOUT)
+    path = write(tmp_path, "star16.cd", star_text(16))
+    status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "2"])
+    assert (status, out) == (0, STAR16_M2_STDOUT)
+    for text, digest in ((star_text(54), STAR54_M3_SHA256),
+                         (star_text(54, swaps=(44, 46, 48)), PERTURBED54_M3_SHA256)):
+        path = write(tmp_path, "star54.cd", text)
+        status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "3"])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_johnson_triple(capsys):
     status, out, _ = run(capsys, ["johnson", "triple", "--g", "3"])
     assert status == 0
@@ -119,12 +237,14 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert status == 1
     assert "error" in err
     # the reduction gets stuck: four crossing type II chords, c = 0
-    path = write(tmp_path, "x.cd", "circles 5\n" + "".join(
-        "II 0:%d,%d %d:0,1\n" % (i, i + 4, i + 1) for i in range(4)
-    ))
+    path = write(tmp_path, "x.cd", crossing_text(0))
     status, out, err = run(capsys, ["cd", "reduce", path, "--m", "3", "--c", "0"])
     assert (status, out) == (1, "")
     assert err.startswith("error: stuck term")
+    # the same diagram at m = 2 needs three expanded states
+    status, out, err = run(capsys, ["cd", "reduce", path, "--m", "2", "--c", "0", "--bound", "2"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error: reduction exceeded")
     # integers too large for a list size end in an error line, not a traceback
     huge = "99999999999999999999"
     for argv, text in (
@@ -137,6 +257,20 @@ def test_domain_error_exit_1(tmp_path, capsys):
         status, out, err = run(capsys, argv)
         assert (status, out) == (1, "")
         assert err.startswith("error:")
+
+
+def test_out_of_memory_exit_1():
+    # the g x g default C of `johnson triple` outgrows a 400 MiB address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fticalc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fticalc", "johnson", "triple", "--g", "20000"],
+        capture_output=True, text=True, preexec_fn=limit, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

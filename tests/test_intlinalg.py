@@ -64,6 +64,7 @@ def test_saturate_examples():
     assert saturate(((2, 0), (0, 3)), 2) == identity(2)
     # span{(2,0,1),(0,2,1)} gains (1,1,1)
     assert saturate(((2, 0, 1), (0, 2, 1)), 3) == ((1, 1, 1), (0, 2, 1))
+    assert saturate((), 3) == saturate(((0, 0, 0),), 3) == ()
 
 
 def test_int_kernel_is_saturated_and_correct():

@@ -63,6 +63,9 @@ def test_sublattice_saturation():
     s = Sublattice(lat, ((2, 0),))
     assert s.basis == ((1, 0),)
     assert s.rank == 1
+    # an empty span saturates to the empty basis without a kernel computation
+    assert Sublattice(SymplecticLattice(400), ()).basis == ()
+    assert Sublattice.from_text("g=400\n").basis == ()
 
 
 def test_is_compatible_examples():
