@@ -6,7 +6,9 @@ endpoints, plus a count of accumulated blink error markers. Chords are
 type I (two endpoints) or type II (four endpoints, two on each of two
 distinct circles). Two chords intersect when some circle carries two
 endpoints of each in interleaved (1212) cyclic order; the boundary
-degree is the size of a largest pairwise-nonintersecting chord set.
+degree is the size of a largest pairwise-nonintersecting chord set: an
+O(N^2) interval DP per circle when every chord is type I, otherwise a
+branch-and-bound search on the crossing graph.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -25,7 +27,9 @@ frontier of exact states (circles, marks, plan) with summed coefficients,
 so paths that meet in a state share one expansion. It has two move
 strategies. On one circle, level by level: take a (level-1)-tower, pick
 by pigeonhole an arc pair between tower endpoints joined by >= level
-chords (the specials), sort the specials until pairwise disjoint. On
+chords (the specials), sort the specials until pairwise disjoint. The
+tower is the set the branch-and-bound search returns, taken once per
+plan, so the term lists do not depend on the degree test. On
 several circles: uncross chords circle by circle. One move kernel serves
 four_term and the engine: the three main terms and, unless the move is a
 clean version 1 (both chords on the moving circle alone), the error pair.
@@ -219,7 +223,8 @@ def _adjacency_masks(pos):
 def _mis(masks, stop_at=None):
     """Maximum independent set: (size, chosen bitmask). Exact, unless
     stop_at is given, in which case the search returns early once a set
-    of that size is found (sufficient for threshold checks)."""
+    of that size is found (sufficient for threshold checks). Used for
+    diagrams with a type II chord and for the tower of each plan."""
     n = len(masks)
     best_size = 0
     best_set = 0
@@ -244,13 +249,38 @@ def _mis(masks, stop_at=None):
     return best_size, best_set
 
 
-def _bd_raw(pos, stop_at=None):
+def _bd_circle(seq):
+    """Largest noncrossing chord set of one circle of type I chords (Supowit
+    1987). rows[i][j] is the best on slots [i, j); with k the partner of i,
+    it is rows[i+1][j], or 1 + rows[i+1][k] + rows[k+1][j] if i < k < j."""
+    n = len(seq)
+    partner, first = [0] * n, {}
+    for p, tok in enumerate(seq):
+        q = first.setdefault(tok, p)
+        partner[p], partner[q] = q, p
+    rows = [None] * n + [[0] * (n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = rows[i + 1][:]
+        k = partner[i]
+        if k > i:
+            inner, far = row[k] + 1, rows[k + 1]
+            row[k + 1:] = [a if a > inner + b else inner + b
+                           for a, b in zip(row[k + 1:], far[k + 1:])]
+        rows[i] = row
+    return rows[0][n]
+
+
+def _bd_raw(circles, pos, stop_at=None):
+    """Boundary degree of raw circles; type I chords on different circles
+    never interleave, so without type II chords it is a sum per circle."""
+    if all(len(per) == 1 for per in pos.values()):
+        return sum(_bd_circle(seq) for seq in circles)
     return _mis(_adjacency_masks(pos), stop_at=stop_at)[0]
 
 
 def boundary_degree(d):
     """Size of a maximum set of pairwise-nonintersecting chords."""
-    return _bd_raw(d._pos)
+    return _bd_raw(d.circles, d._pos)
 
 
 def _turns(seq):
@@ -558,7 +588,7 @@ def _reduce(terms, m, level, next_move, max_steps):
             continue
         circles, marks, plan = key
         pos = _positions(circles)
-        if marks >= m or _bd_raw(pos, stop_at=level) >= level:
+        if marks >= m or _bd_raw(circles, pos, stop_at=level) >= level:
             done[circles, marks] = done.get((circles, marks), 0) + coeff
             continue
         steps += 1
@@ -595,7 +625,7 @@ def tower_reduce(d, m, c=2):
         raise ValueError("m must be a positive integer")
     if len(d.circles) != 1:
         raise ValueError("tower_reduce expects a single-circle diagram")
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d._pos, stop_at=m) >= m:
+    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, d._pos, stop_at=m) >= m:
         return DiagramSum({d: 1})
     if not pigeonhole_ok(m, c):
         raise ValueError("constant c=%d fails the pigeonhole bound for m=%d" % (c, m))
@@ -668,7 +698,7 @@ def multi_tower_reduce(d, m, c=2, limits=None):
         raise ValueError("m must be a positive integer")
     if limits is None:
         limits = ReductionLimits(c=c)
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d._pos, stop_at=m) >= m:
+    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, d._pos, stop_at=m) >= m:
         return DiagramSum({d: 1})
     if len(d.circles) == 1:
         return tower_reduce(d, m, c=limits.c)

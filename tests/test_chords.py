@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
@@ -8,6 +9,8 @@ from fticalc.chords import (
     ChordDiagram,
     DiagramSum,
     ReductionLimits,
+    _adjacency_masks,
+    _mis,
     boundary_degree,
     canonicalize,
     chords_intersect,
@@ -84,6 +87,56 @@ def test_boundary_degree_matches_oracle():
     # multi-circle with a type II chord
     d = ChordDiagram([(0, 1, 0, 1), (1, 1, 2, 2)])
     assert boundary_degree(d) == oracle_mis(d)
+    # the interval DP against the exact search on the crossing graph
+    for _ in range(200):
+        d = random_single_circle(rng, rng.randint(15, 40))
+        assert boundary_degree(d) == _mis(_adjacency_masks(d._pos))[0]
+    # type I chords only, spread over 2-3 circles
+    for _ in range(40):
+        circles = [[] for _ in range(rng.randint(2, 3))]
+        for cid in range(rng.randint(0, 12)):
+            circles[rng.randrange(len(circles))] += [cid, cid]
+        for seq in circles:
+            rng.shuffle(seq)
+        d = ChordDiagram(circles)
+        assert boundary_degree(d) == oracle_mis(d)
+    # known answers at 500 chords
+    nested = ChordDiagram([tuple(range(500)) + tuple(reversed(range(500)))])
+    assert boundary_degree(nested) == 500
+    star = ChordDiagram([tuple(range(500)) * 2])
+    assert boundary_degree(star) == 1
+    for k in (2, 5, 10):
+        size = 500 // k
+        seq = sum((tuple(range(s, s + size)) * 2 for s in range(0, 500, size)), ())
+        assert boundary_degree(ChordDiagram([seq])) == k
+    d = random_single_circle(rng, 300)
+    assert boundary_degree(d) == interval_oracle(d.circles[0])
+
+
+def interval_oracle(seq):
+    """Largest noncrossing chord set on one circle, recursing on the last
+    slot of a closed interval [i, j]: it is unused, or its chord (k, j)
+    with i <= k is taken and splits the interval."""
+    partner = {}
+    for p, tok in enumerate(seq):
+        partner.setdefault(tok, []).append(p)
+    other = {p: sum(partner[tok]) - p for p, tok in enumerate(seq)}
+
+    @cache
+    def best(i, j):
+        if j <= i:
+            return 0
+        k = other[j]
+        skip = best(i, j - 1)
+        if i <= k < j:
+            return max(skip, 1 + best(i, k - 1) + best(k + 1, j - 1))
+        return skip
+
+    n = len(seq)
+    for length in range(n):  # shortest intervals first keeps the recursion shallow
+        for i in range(n - length):
+            best(i, i + length)
+    return best(0, n - 1)
 
 
 def test_canonicalize_properties():
@@ -235,6 +288,75 @@ def test_four_term_version_mismatch():
         four_term(d, 0, (0, 0), 1)  # moving endpoint belongs to fixed
 
 
+def one_circle_classes(n):
+    """canonicalize classes of the one-circle diagrams with n chords, from
+    every perfect matching of the 2n slots."""
+    out = set()
+
+    def match(seq, label):
+        if None not in seq:
+            out.add(canonicalize(ChordDiagram([tuple(seq)])))
+            return
+        a = seq.index(None)
+        for b in range(a + 1, len(seq)):
+            if seq[b] is None:
+                seq[a] = seq[b] = label
+                match(seq, label + 1)
+                seq[a] = seq[b] = None
+
+    match([None] * (2 * n), 0)
+    return out
+
+
+def rank_mod(rows, prime):
+    """Rank of sparse integer rows {column: value} modulo a prime."""
+    pivots = {}
+    for row in rows:
+        row = {c: v % prime for c, v in row.items() if v % prime}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, prime)
+                pivots[col] = {c: v * inv % prime for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivots[col].items():
+                nv = (row.get(c, 0) - f * v) % prime
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def test_four_term_quotient_dimensions():
+    # framed A_n: one-circle diagrams with n chords modulo every version 1
+    # move (Bar-Natan, Topology 1995). One representative per class gives
+    # every relation, since a move commutes with relabelling, rotation and
+    # reflection; the classes also identify reflections, which act
+    # trivially on A_n for these n.
+    for n, dim in enumerate((1, 1, 2, 3, 6, 10)):
+        basis = {d: i for i, d in enumerate(sorted(one_circle_classes(n),
+                                                   key=lambda d: d.circles))}
+        rows = []
+        for d in basis:
+            seq = d.circles[0]
+            for fixed in d.chord_ids():
+                ends = [p for p, tok in enumerate(seq) if tok == fixed]
+                near = {(q + s) % len(seq) for q in ends for s in (-1, 1)}
+                for p in sorted(near):
+                    if seq[p] == fixed:
+                        continue
+                    row = {basis[d]: 1}
+                    for term, coeff in four_term(d, fixed, (0, p), 1).terms.items():
+                        assert coeff.denominator == 1
+                        col = basis[term]
+                        row[col] = row.get(col, 0) - coeff.numerator
+                    rows.append(row)
+        for prime in (1000003, 998244353):
+            assert len(basis) - rank_mod(rows, prime) == dim
+
+
 def test_tower_reduce_trivial_cases():
     star = ChordDiagram([tuple(range(4)) + tuple(range(4))])
     assert tower_reduce(star, 1) == DiagramSum({star: 1})
@@ -311,6 +433,14 @@ def test_tower_reduce_m3():
     assert s.coefficient_sum() == 1
     for term in s.terms:
         assert boundary_degree(term) >= 3 or term.marks >= 3
+
+
+def test_tower_reduce_m4_star128():
+    star = ChordDiagram([tuple(range(128)) * 2])
+    s = tower_reduce(star, 4)
+    assert len(s) == 41
+    assert s.coefficient_sum() == 1
+    assert all(boundary_degree(term) >= 4 for term in s.terms)
 
 
 def test_diagram_sum_pair_iterable_merges():

@@ -114,6 +114,9 @@ term.2.marks=0
 # perturbed one shows it.
 STAR54_M3_SHA256 = "af10caec30bc77a99db83baa65179cbb4004a866d21b87771a570f25b31718de"
 PERTURBED54_M3_SHA256 = "8302b02fb96d150ae4ecfa43e46821d01fa43af4661c82fe69fa216648bb8792"
+# sha256 of the stdout of `cd reduce --m 4` on the 128-chord star (41 terms),
+# recorded while every degree query still ran the crossing-graph search
+STAR128_M4_SHA256 = "f3099bbce03f4e92113c9e1ec762e2e8935ba1a3413d11dbaca2dcfbbc5a1443"
 
 
 def run(capsys, argv, stdin=None):
@@ -200,10 +203,11 @@ def test_cd_reduce_golden(tmp_path, capsys):
     path = write(tmp_path, "star16.cd", star_text(16))
     status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "2"])
     assert (status, out) == (0, STAR16_M2_STDOUT)
-    for text, digest in ((star_text(54), STAR54_M3_SHA256),
-                         (star_text(54, swaps=(44, 46, 48)), PERTURBED54_M3_SHA256)):
-        path = write(tmp_path, "star54.cd", text)
-        status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "3"])
+    for text, m, digest in ((star_text(54), "3", STAR54_M3_SHA256),
+                            (star_text(54, swaps=(44, 46, 48)), "3", PERTURBED54_M3_SHA256),
+                            (star_text(128), "4", STAR128_M4_SHA256)):
+        path = write(tmp_path, "star.cd", text)
+        status, out, _ = run(capsys, ["cd", "reduce", path, "--m", m])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
