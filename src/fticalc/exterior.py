@@ -13,6 +13,10 @@ a Lagrangian. Values are immutable and operations pure.
 Text form: terms "coeff*i^j", "coeff*i^j^k" or "coeff*a@i^j" (tensor
 slot before '@'), joined by ' + ', with 1-based indices and Fraction
 coefficients; "0" is the zero element. Round-trips exactly.
+
+Every matrix action is summed by one accumulator, _sum_products: act and
+the difference actions of johnson hand it the factors of each term and it
+expands the products over their joint support into one integer dict.
 """
 
 from fractions import Fraction
@@ -171,18 +175,22 @@ class MultiVector:
         return cls(dim, grade, terms)
 
 
-def _wedge_terms(factors, dim):
-    """Nonzero coordinates of the wedge of 2 or 3 vectors, keyed canonically."""
+def _wedge_terms(factors):
+    """Nonzero coordinates of the wedge of 2 or 3 vectors, keyed canonically.
+
+    Only index tuples inside the joint support of the factors can be nonzero.
+    """
+    support = sorted({i for v in factors for i, x in enumerate(v) if x})
     terms = {}
     if len(factors) == 2:
         u, v = factors
-        for i, j in combinations(range(dim), 2):
+        for i, j in combinations(support, 2):
             c = u[i] * v[j] - u[j] * v[i]
             if c:
                 terms[(i, j)] = c
         return terms
     u, v, w = factors
-    for i, j, k in combinations(range(dim), 3):
+    for i, j, k in combinations(support, 3):
         c = (
             u[i] * (v[j] * w[k] - v[k] * w[j])
             - u[j] * (v[i] * w[k] - v[k] * w[i])
@@ -203,7 +211,7 @@ def wedge(factors, dim=None):
     if any(len(v) != dim for v in factors):
         raise ValueError("factor length mismatch")
     grade = "wedge2" if len(factors) == 2 else "wedge3"
-    return MultiVector(dim, grade, _wedge_terms(factors, dim))
+    return MultiVector(dim, grade, _wedge_terms(factors))
 
 
 def tensor_wedge(a, bc, dim=None):
@@ -252,6 +260,30 @@ def _column(rows, j):
     return tuple(row[j] for row in rows)
 
 
+def _sum_products(x, r, products):
+    """The sum over the terms c*key of x of c times each product in products(key).
+
+    products(key) yields sequences of coordinate vectors of length r: two or
+    three factors wedged together for wedge2/wedge3, and a head vector
+    tensored with the wedge of the other two for tensor12.
+    """
+    # accumulate over Z with the common denominator of x taken out
+    scale = lcm(*(c.denominator for _, c in x.terms))
+    acc = {}
+    for key, c in x.terms:
+        c = int(c * scale)
+        for factors in products(key):
+            if x.grade == "tensor12":
+                head = [(s, y) for s, y in enumerate(factors[0]) if y]
+                for (i, j), w in _wedge_terms(factors[1:]).items():
+                    for s, y in head:
+                        acc[(s, i, j)] = acc.get((s, i, j), 0) + c * y * w
+            else:
+                for k, w in _wedge_terms(factors).items():
+                    acc[k] = acc.get(k, 0) + c * w
+    return MultiVector(r, x.grade, {k: Fraction(v, scale) for k, v in acc.items()})
+
+
 def act(m, x):
     """Functorial action of an r x dim matrix on each tensor or wedge slot.
 
@@ -261,23 +293,8 @@ def act(m, x):
     rows = _matrix_rows(m)
     if any(len(r) != x.dim for r in rows):
         raise ValueError("matrix dimension does not match the element")
-    r = len(rows)
     cols = [_column(rows, j) for j in range(x.dim)]
-    # accumulate over Z with the common denominator of x taken out
-    scale = lcm(*(c.denominator for _, c in x.terms))
-    acc = {}
-    for key, c in x.terms:
-        c = int(c * scale)
-        if x.grade == "tensor12":
-            a = cols[key[0]]
-            for (i, j), w in _wedge_terms((cols[key[1]], cols[key[2]]), r).items():
-                for s, y in enumerate(a):
-                    if y:
-                        acc[(s, i, j)] = acc.get((s, i, j), 0) + c * y * w
-        else:
-            for k, w in _wedge_terms([cols[i] for i in key], r).items():
-                acc[k] = acc.get(k, 0) + c * w
-    return MultiVector(r, x.grade, {k: Fraction(v, scale) for k, v in acc.items()})
+    return _sum_products(x, len(rows), lambda key: ([cols[k] for k in key],))
 
 
 def adapted_matrix(l):
@@ -348,8 +365,7 @@ def kernel_wedge2_generators(l):
     gens = []
     n = lat.dim
     for v in l.basis:
-        for k in range(n):
-            b = tuple(1 if t == k else 0 for t in range(n))
+        for b in la.identity(n):
             w = wedge((v, b), n)
             if not w.is_zero():
                 gens.append(w)

@@ -245,11 +245,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.degree, acc)
 
     def __sub__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, 0) - c
-        return TruncatedSeries(self.nvars, self.degree, acc)
+        return self + (-1) * other
 
     def __rmul__(self, scalar):
         return TruncatedSeries(

@@ -22,8 +22,10 @@ among a, i, j. So the level of x is read off its support in that basis.
 
 from itertools import combinations
 
+from . import _intlinalg as la
 from .exterior import (
     MultiVector,
+    _sum_products,
     act,
     adapted_matrix,
     kernel_wedge2_generators,
@@ -45,9 +47,7 @@ class LbarElement:
         for v in l.basis:
             if matrix.apply(v) != v:
                 raise ValueError("matrix must fix L pointwise")
-        n = lat.dim
-        for k in range(n):
-            e_k = tuple(1 if t == k else 0 for t in range(n))
+        for e_k in la.identity(lat.dim):
             diff = tuple(a - b for a, b in zip(matrix.apply(e_k), e_k))
             if not l.contains(diff):
                 raise ValueError("(matrix - I) H must land in L")
@@ -68,17 +68,26 @@ class LbarElement:
         return "LbarElement(g=%d)" % self.lat.genus
 
 
-def _columns(m, n):
-    return [tuple(m.entries[i][j] for i in range(n)) for j in range(n)]
+def _delta(lam, x, grade):
+    """(lambda - 1) x by the three-term expansion of each term of x.
 
+    A term with key (k0, k1, k2) expands to the products
+        (d0, c1, c2) + (e0, d1, c2) + (e0, e1, d2),
+    where c = lambda e is a column of lambda, e a unit vector and d = c - e.
+    """
+    if x.grade != grade:
+        raise ValueError("expected a %s element" % grade)
+    if x.dim != lam.lat.dim:
+        raise ValueError("ambient dimension mismatch")
+    c = la.transpose(lam.matrix.entries)
+    e = la.identity(x.dim)
+    d = [tuple(p - q for p, q in zip(ck, ek)) for ck, ek in zip(c, e)]
 
-def _sum_pieces(n, grade, pieces):
-    """The sum of c * piece over (c, piece) pairs, normalised once."""
-    acc = {}
-    for c, piece in pieces:
-        for key, v in piece.terms:
-            acc[key] = acc.get(key, 0) + c * v
-    return MultiVector(n, grade, acc)
+    def expansion(key):
+        k0, k1, k2 = key
+        return ((d[k0], c[k1], c[k2]), (e[k0], d[k1], c[k2]), (e[k0], e[k1], d[k2]))
+
+    return _sum_products(x, x.dim, expansion)
 
 
 def lmo_delta(lam, x):
@@ -89,27 +98,7 @@ def lmo_delta(lam, x):
         + a @ (a1 ^ (lambda-1)a2),
     extended linearly; this equals act(lambda, x) - x exactly.
     """
-    if x.grade != "tensor12":
-        raise ValueError("lmo_delta expects a tensor12 element")
-    if x.dim != lam.lat.dim:
-        raise ValueError("ambient dimension mismatch")
-    n = x.dim
-    cols = _columns(lam.matrix, n)
-
-    def basis(k):
-        return tuple(1 if t == k else 0 for t in range(n))
-
-    pieces = []
-    for (a, i, j), c in x.terms:
-        da = tuple(p - q for p, q in zip(cols[a], basis(a)))
-        di = tuple(p - q for p, q in zip(cols[i], basis(i)))
-        dj = tuple(p - q for p, q in zip(cols[j], basis(j)))
-        pieces += [
-            (c, tensor_wedge(da, wedge((cols[i], cols[j]), n), n)),
-            (c, tensor_wedge(basis(a), wedge((di, cols[j]), n), n)),
-            (c, tensor_wedge(basis(a), wedge((basis(i), dj), n), n)),
-        ]
-    return _sum_pieces(n, "tensor12", pieces)
+    return _delta(lam, x, "tensor12")
 
 
 def lmo1_delta(lam, w):
@@ -120,27 +109,7 @@ def lmo1_delta(lam, w):
         + a1 ^ a2 ^ (lambda-1)a3,
     which equals act(lambda, w) - w exactly.
     """
-    if w.grade != "wedge3":
-        raise ValueError("lmo1_delta expects a wedge3 element")
-    if w.dim != lam.lat.dim:
-        raise ValueError("ambient dimension mismatch")
-    n = w.dim
-    cols = _columns(lam.matrix, n)
-
-    def basis(k):
-        return tuple(1 if t == k else 0 for t in range(n))
-
-    pieces = []
-    for (i, j, k), c in w.terms:
-        di = tuple(p - q for p, q in zip(cols[i], basis(i)))
-        dj = tuple(p - q for p, q in zip(cols[j], basis(j)))
-        dk = tuple(p - q for p, q in zip(cols[k], basis(k)))
-        pieces += [
-            (c, wedge((di, cols[j], cols[k]), n)),
-            (c, wedge((basis(i), dj, cols[k]), n)),
-            (c, wedge((basis(i), basis(j), dk), n)),
-        ]
-    return _sum_pieces(n, "wedge3", pieces)
+    return _delta(lam, w, "wedge3")
 
 
 def triple_commutator_tau(lam, w):
@@ -162,11 +131,7 @@ def level_generators(n, l):
     if n == 5:
         return ()
     dim = l.lat.dim
-
-    def basis(k):
-        return tuple(1 if t == k else 0 for t in range(dim))
-
-    std = [basis(k) for k in range(dim)]
+    std = la.identity(dim)
     wedge2_all = [
         MultiVector(dim, "wedge2", {key: 1}) for key in combinations(range(dim), 2)
     ]

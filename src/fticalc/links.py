@@ -260,10 +260,7 @@ class FormalSum:
         return FormalSum(acc)
 
     def __sub__(self, other):
-        acc = dict(self.terms)
-        for d, c in other.terms.items():
-            acc[d] = acc.get(d, Fraction(0)) - c
-        return FormalSum(acc)
+        return self + (-1) * other
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
@@ -489,10 +486,7 @@ class LaurentPoly:
         return LaurentPoly(acc)
 
     def __sub__(self, other):
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, 0) - c
-        return LaurentPoly(acc)
+        return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +16,14 @@ from fticalc.exterior import (
     tensor_wedge,
     wedge,
 )
-from fticalc.symplectic import Sublattice, SymplecticLattice, transvection
+from fticalc.johnson import LbarElement, lmo1_delta, lmo_delta
+from fticalc.symplectic import (
+    SpMatrix,
+    Sublattice,
+    SymplecticLattice,
+    compose,
+    transvection,
+)
 
 
 def vec_add(u, v):
@@ -236,3 +243,110 @@ def test_quotient_higher_grades():
     assert q.is_zero()
     y = tensor_wedge(lat.f(1), wedge((lat.f(2), lat.f(1))))
     assert quotient_mod_L(y, l) == tensor_wedge((1, 0), wedge(((0, 1), (1, 0))))
+
+
+def perm_sign(p):
+    inversions = sum(1 for a, b in combinations(p, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def dense_act(m, x):
+    """act by its defining formula over every index tuple of the target.
+
+    Entry m[p][i] is coordinate p of the image of basis vector i. A term
+    c*a@(i^j) maps to c*m[s][a]*(m[p][i]m[q][j] - m[p][j]m[q][i]) at s@(p^q)
+    for every s and p < q; a wedge term maps to c times the minor of m on
+    its rows and columns.
+    """
+    r = len(m)
+    out = {}
+    for key, c in x.terms:
+        if x.grade == "tensor12":
+            a, i, j = key
+            for s in range(r):
+                for p, q in combinations(range(r), 2):
+                    v = c * m[s][a] * (m[p][i] * m[q][j] - m[p][j] * m[q][i])
+                    out[(s, p, q)] = out.get((s, p, q), 0) + v
+        else:
+            for rows in combinations(range(r), len(key)):
+                v = 0
+                for perm in permutations(range(len(key))):
+                    prod = perm_sign(perm)
+                    for row, col in zip(rows, perm):
+                        prod *= m[row][key[col]]
+                    v += prod
+                out[rows] = out.get(rows, 0) + c * v
+    return MultiVector(r, x.grade, out)
+
+
+def rand_element(rng, n, grade, nterms=4):
+    size = 2 if grade == "wedge2" else 3
+    terms = {}
+    for _ in range(nterms):
+        key = tuple(rng.sample(range(n), size))
+        if grade == "tensor12":
+            key = (rng.randrange(n),) + key[:2]
+        terms[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return MultiVector(n, grade, terms)
+
+
+def moved_lagrangian(rng, lat):
+    """L+ moved by a few random transvections."""
+    l = lat.standard_lplus()
+    for _ in range(3):
+        v = rand_vec(rng, lat.dim, -2, 2)
+        if any(v):
+            t = transvection(lat, v, rng.choice((1, -1)))
+            l = Sublattice(lat, [t.apply(b) for b in l.basis])
+    return l
+
+
+def test_act_matches_dense_oracle():
+    rng = random.Random(61)
+    for g in (1, 2, 3, 4):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(10):
+            l = moved_lagrangian(rng, lat)
+            shapes = [
+                quotient_matrix(l),
+                tuple(rand_vec(rng, n) for _ in range(n)),
+                tuple(rand_vec(rng, n) for _ in range(rng.randint(1, n + 1))),
+            ]
+            for m in shapes:
+                for grade in ("wedge2", "wedge3", "tensor12"):
+                    if grade != "wedge2" and n < 3:
+                        continue
+                    x = rand_element(rng, n, grade)
+                    assert act(m, x) == dense_act(m, x)
+
+
+def random_lbar(rng, lat):
+    """An element fixing a Lagrangian pointwise: either [[I, C], [0, I]] for
+    symmetric C, or a product of transvections along a moved Lagrangian."""
+    g = lat.genus
+    if rng.random() < 0.5:
+        c = [[0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                c[i][j] = c[j][i] = rng.randint(-3, 3)
+        return LbarElement.from_symmetric(lat, tuple(map(tuple, c)))
+    l = moved_lagrangian(rng, lat)
+    m = SpMatrix(lat, la.identity(lat.dim))
+    for v in l.basis:
+        m = compose(m, transvection(lat, v, rng.choice((1, -1))))
+    return LbarElement(lat, l, m)
+
+
+def test_deltas_match_dense_oracle():
+    rng = random.Random(67)
+    for g in (2, 3, 4):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(25):
+            lam = random_lbar(rng, lat)
+            m = lam.matrix.entries
+            x = rand_element(rng, n, "tensor12")
+            assert lmo_delta(lam, x) == dense_act(m, x) - x
+            w = rand_element(rng, n, "wedge3")
+            assert lmo1_delta(lam, w) == dense_act(m, w) - w
