@@ -113,13 +113,22 @@ def rank(rows, width):
     return len(_echelon(rows, width)[0])
 
 
+def _transform_echelon(rows, width):
+    """Integer echelon of [rows^T | I], as (rows, pivot_columns).
+
+    The rows stack to [T . rows^T | T]: the identity block records the
+    unimodular transform T.
+    """
+    m = len(rows)
+    aug = [[rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(width)]
+           for j in range(width)]
+    return _echelon(aug, m + width)
+
+
 def int_kernel(rows, width):
     """Basis (canonical HNF) of {x in Z^width : M x = 0}."""
     m = len(rows)
-    aug = []
-    for j in range(width):
-        aug.append([rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(width)])
-    ech, _ = _echelon(aug, m + width)
+    ech, _ = _transform_echelon(rows, width)
     ker = [r[m:] for r in ech if all(x == 0 for x in r[:m])]
     return row_hnf(ker, width)
 
@@ -170,6 +179,32 @@ def invert_unimodular(t):
     return tuple(out)
 
 
+def adapted_rows(basis, width):
+    """Rows sending Z^width coordinates to coordinates in an adapted basis.
+
+    The adapted basis is the saturated basis followed by the complement
+    that complete_to_unimodular returns. The transform echelon gives
+    T . basis^T = [E; 0], E upper unitriangular, and the complement is
+    read off T^-1 so that T . [basis; complement]^T = diag(E, I); the rows
+    are therefore diag(E^-1, I) . T, the first ones by integer
+    back-substitution.
+    """
+    a = len(basis)
+    ech, pivots = _transform_echelon(basis, width)
+    if len(ech) != width:
+        raise RuntimeError("echelon dropped a row of the identity block")
+    # pivots 0..a-1 with unit diagonal <=> |det E| = 1 (pivots are positive)
+    if pivots[:a] != list(range(a)) or any(ech[i][i] != 1 for i in range(a)):
+        raise ValueError("basis is not saturated")
+    rows = [r[a:] for r in ech]
+    for i in range(a - 1, -1, -1):
+        for j in range(i + 1, a):
+            f = ech[i][j]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(r) for r in rows)
+
+
 def complete_to_unimodular(basis, width):
     """Rows completing a saturated lattice basis to a basis of Z^width.
 
@@ -179,19 +214,7 @@ def complete_to_unimodular(basis, width):
     a = len(basis)
     if a == 0:
         return identity(width)
-    # Echelonize basis^T with the transform recorded: T . basis^T = [E; 0].
-    aug = [[basis[i][j] for i in range(a)] + [1 if k == j else 0 for k in range(width)]
-           for j in range(width)]
-    ech, pivots = _echelon(aug, a + width)
-    if len(ech) != width:
-        raise RuntimeError("echelon dropped a row of the identity block")
-    t_rows = [r[a:] for r in ech]
-    e_block = [r[:a] for r in ech[:a]]
-    if abs(det(tuple(tuple(r) for r in e_block))) != 1:
-        raise ValueError("basis is not saturated")
-    t = tuple(tuple(r) for r in t_rows)
-    w = transpose(invert_unimodular(t))
-    return tuple(w[a:])
+    return transpose(invert_unimodular(adapted_rows(basis, width)))[a:]
 
 
 def coords_in_basis(v, basis, width):

@@ -301,10 +301,10 @@ def adapted_matrix(l):
     """Rows sending H coordinates to coordinates in an L-adapted basis.
 
     The basis is L.basis followed by a unimodular complement, so the first
-    rank(L) coordinates are the L-indices.
+    rank(L) coordinates are the L-indices. The rows are diag(E^-1, I) . T,
+    read off the echelon T . L.basis^T = [E; 0] without an inversion.
     """
-    full = l.basis + la.complete_to_unimodular(l.basis, l.lat.dim)
-    return la.transpose(la.invert_unimodular(full))
+    return la.adapted_rows(l.basis, l.lat.dim)
 
 
 def quotient_matrix(l):

@@ -5,7 +5,10 @@ reduced. The Magnus map sends x_i to 1 + X_i (inverses to the truncated
 geometric series) inside the ring of noncommutative power series
 truncated at a caller-chosen degree N; the minimal degree of s - 1 then
 witnesses I-adic depth, and nested commutators of depth d always land in
-degree >= d.
+degree >= d. magnus builds the image letter by letter with the classical
+per-degree recurrence (Magnus-Karrass-Solitar, Combinatorial Group
+Theory, 5.5): right-multiplying by 1 + X_i or its inverse updates each
+degree from its neighbour below, one append per stored term.
 
 Word syntax accepted by parse_word:
 
@@ -62,12 +65,8 @@ class GroupWord:
 
     def __pow__(self, m):
         m = int(m)
-        if m < 0:
-            return self.inverse() ** (-m)
-        out = GroupWord.identity(self.ngens)
-        for _ in range(m):
-            out = out * self
-        return out
+        base = self.inverse() if m < 0 else self
+        return GroupWord(self.ngens, base.letters * abs(m))
 
     def commutator(self, other):
         """[self, other] = self^-1 other^-1 self other."""
@@ -314,15 +313,24 @@ def magnus(w, n):
     """
     if n < 1:
         raise ValueError("truncation degree must be >= 1")
-    out = TruncatedSeries.one(w.ngens, n)
+    if n > MAX_DEGREE:
+        raise ValueError("truncation degree is guarded at N <= %d" % MAX_DEGREE)
+    levels = [{(): 1}] + [{} for _ in range(n)]
     for idx, exp in w.letters:
-        if exp == 1:
-            factor = TruncatedSeries(w.ngens, n, {(): 1, (idx,): 1})
-        else:
-            terms = {tuple([idx] * k): (-1) ** k for k in range(n + 1)}
-            factor = TruncatedSeries(w.ngens, n, terms)
-        out = out * factor
-    return out
+        # x_i: new_{d+1} = old_{d+1} + old_d X_i, by descending d so each
+        # read sees the old value. x_i^-1: new (1 + X_i) = old, so
+        # new_{d+1} = old_{d+1} - new_d X_i, by ascending d.
+        order = range(n - 1, -1, -1) if exp == 1 else range(n)
+        for d in order:
+            up = levels[d + 1]
+            for word, c in levels[d].items():
+                key = word + (idx,)
+                v = up.get(key, 0) + exp * c
+                if v:
+                    up[key] = v
+                else:
+                    del up[key]
+    return TruncatedSeries(w.ngens, n, [t for level in levels for t in level.items()])
 
 
 def iadic_degree(s):

@@ -227,6 +227,16 @@ def test_magnus_degree(capsys):
     assert out == "degree=>=5\n"
 
 
+def test_magnus_degree_golden(capsys):
+    # stdout and exit status recorded while magnus multiplied one full
+    # truncated series per letter
+    for word, stdout in (("[x1,x2]^300", "degree=2\n"),
+                         ("[[[[x1,x2],x3],x4],x5]", "degree=5\n"),
+                         ("[x1,x2] [x2,x1]", "degree=>=9\n")):
+        status, out, _ = run(capsys, ["magnus", "degree", word, "--N", "8"])
+        assert (status, out) == (0, stdout)
+
+
 def test_sp_realize(capsys):
     status, out, _ = run(capsys, ["sp", "realize", "--C", "0 1;1 0"])
     assert status == 0

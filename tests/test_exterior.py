@@ -8,6 +8,7 @@ from fticalc import _intlinalg as la
 from fticalc.exterior import (
     MultiVector,
     act,
+    adapted_matrix,
     embed_wedge3,
     in_span,
     kernel_wedge2_generators,
@@ -299,6 +300,21 @@ def moved_lagrangian(rng, lat):
             t = transvection(lat, v, rng.choice((1, -1)))
             l = Sublattice(lat, [t.apply(b) for b in l.basis])
     return l
+
+
+def test_adapted_matrix_sends_l_to_the_first_unit_vectors():
+    rng = random.Random(67)
+    for g in (1, 2, 3, 4, 5):
+        lat = SymplecticLattice(g)
+        for _ in range(8):
+            l = moved_lagrangian(rng, lat)
+            m = adapted_matrix(l)
+            assert abs(la.det(m)) == 1
+            unit = la.identity(lat.dim)
+            for i, v in enumerate(l.basis):
+                assert la.mat_vec(m, v) == unit[i]
+            full = l.basis + la.complete_to_unimodular(l.basis, lat.dim)
+            assert m == la.transpose(la.invert_unimodular(full))
 
 
 def test_act_matches_dense_oracle():

@@ -51,6 +51,57 @@ def test_magnus_examples():
     assert s.terms == {(): 1, (0, 1): 1, (1, 0): -1}
 
 
+def block_cutting_coefficient(word, monomial):
+    """Coefficient of a monomial in the Magnus image, counted directly.
+
+    It is the signed number of ways to cut the monomial into consecutive
+    blocks, one per letter in order: x_i takes () or (i,), and x_i^-1 takes
+    (i,) * k for any k >= 0 with sign (-1)^k.
+    """
+    # ways[j]: signed count for the letters so far consuming monomial[:j]
+    ways = [1] + [0] * len(monomial)
+    for idx, exp in word.letters:
+        longest = 1 if exp == 1 else len(monomial)
+        new = list(ways)
+        for j in range(1, len(monomial) + 1):
+            k = 1
+            while k <= min(j, longest) and monomial[j - k] == idx:
+                new[j] += (1 if exp == 1 else (-1) ** k) * ways[j - k]
+                k += 1
+        ways = new
+    return ways[-1]
+
+
+def test_magnus_matches_block_cutting_oracle():
+    rng = random.Random(71)
+    cases = []
+    for _ in range(40):
+        ngens = rng.randint(1, 3)
+        cases.append((rand_word(rng, ngens, rng.randint(0, 10)), rng.randint(1, 6)))
+    for depth in (4, 5):
+        for _ in range(3):
+            letters = [rng.randrange(3) for _ in range(depth)]
+            cases.append((lcs_commutator(depth, letters, ngens=3), 6))
+    for w, n in cases:
+        terms = magnus(w, n).terms
+        for d in range(n + 1):
+            for mono in itertools.product(range(w.ngens), repeat=d):
+                assert terms.get(mono, 0) == block_cutting_coefficient(w, mono), (
+                    w, n, mono)
+
+
+def test_power_equals_iterated_product():
+    rng = random.Random(73)
+    for _ in range(30):
+        w = rand_word(rng, 3, rng.randint(0, 6))
+        for m in range(-4, 5):
+            base = w if m >= 0 else w.inverse()
+            product = GroupWord.identity(3)
+            for _ in range(abs(m)):
+                product = product * base
+            assert w ** m == product
+
+
 def test_magnus_homomorphism():
     rng = random.Random(59)
     for _ in range(30):

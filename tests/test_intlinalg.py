@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fticalc._intlinalg import (
+    adapted_rows,
     complete_to_unimodular,
     coords_in_basis,
     det,
@@ -97,6 +98,44 @@ def test_complete_to_unimodular():
             continue
         comp = complete_to_unimodular(b, w)
         assert abs(det(b + comp)) == 1
+
+
+def random_saturated_basis(rng, width, a):
+    """The first a rows of a random unimodular matrix (not in HNF), or the
+    saturation of a random integer span."""
+    if rng.random() < 0.5:
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(width)) for _ in range(a))
+        return saturate(rows, width)
+    rows = [list(r) for r in identity(width)]
+    for _ in range(3 * width):
+        i, j = rng.randrange(width), rng.randrange(width)
+        if i != j:
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return tuple(tuple(r) for r in rows[:a])
+
+
+def test_adapted_rows_invert_the_completed_basis():
+    rng = random.Random(3)
+    for width in range(1, 11):
+        for a in sorted({0, width, rng.randint(0, width), rng.randint(0, width)}):
+            for _ in range(4):
+                basis = random_saturated_basis(rng, width, a)
+                rows = adapted_rows(basis, width)
+                full = basis + complete_to_unimodular(basis, width)
+                assert mat_mul(transpose(rows), full) == identity(width)
+    assert adapted_rows((), 3) == identity(3)
+
+
+def test_adapted_rows_reject_dependent_and_unsaturated_bases():
+    dependent = ((1, 2, 0), (2, 4, 0))
+    unsaturated = ((2, 0, 0), (0, 1, 0))
+    too_many = ((1, 0), (0, 1), (1, 1))
+    for basis in (dependent, unsaturated, too_many):
+        for fn in (adapted_rows, complete_to_unimodular):
+            with pytest.raises(ValueError, match="not saturated"):
+                fn(basis, len(basis[0]))
 
 
 def test_invert_unimodular():
