@@ -1,15 +1,14 @@
-"""Exact linear algebra over Z and Q on small dense matrices.
+"""Exact linear algebra over Z on small dense matrices.
 
 Matrices are tuples of row tuples. Everything is desk scale (dimension
-<= ~16), so the algorithms favour clarity and exactness over speed:
-Bareiss for determinants, gcd-based row echelon for lattice normal
-forms and ranks, Fraction elimination for rational solves. No floating
-point. It is also the rank and echelon kernel behind span membership in
-the exterior algebra, and its det yields the Alexander polynomial by
-interpolation.
+<= ~16), so the algorithms favour clarity and exactness over speed.
+There are two eliminations: fraction-free Bareiss for determinants, and
+the gcd-based integer row echelon `_echelon`, which carries lattice
+normal forms, ranks, kernels, unimodular inverses and lattice
+coordinates. No floating point and no fractions. It is also the rank
+and echelon kernel behind span membership in the exterior algebra, and
+its det yields the Alexander polynomial by interpolation.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -141,42 +140,17 @@ def saturate(rows, width):
     return int_kernel(ann, width)
 
 
-def in_rowspan_z(v, hnf_rows):
-    """Membership of an integer vector in the lattice given by HNF rows."""
-    v = list(v)
-    for row in hnf_rows:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        if v[c] % row[c] != 0:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def invert_unimodular(t):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    The Hermite form of [t | I] is [I | t^-1] exactly when t is
+    unimodular, since that form is unique and t^-1 [t | I] has it.
+    """
     n = len(t)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(t)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            raise ValueError("matrix is not unimodular")
-        a[c], a[p] = a[p], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
+    h = row_hnf([tuple(row) + e for row, e in zip(t, identity(n))], 2 * n)
+    if tuple(r[:n] for r in h) != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return tuple(r[n:] for r in h)
 
 
 def adapted_rows(basis, width):
@@ -217,31 +191,19 @@ def complete_to_unimodular(basis, width):
     return transpose(invert_unimodular(adapted_rows(basis, width)))[a:]
 
 
-def coords_in_basis(v, basis, width):
-    """Rational coordinates of v in the given basis rows, or None."""
-    k = len(basis)
-    if k == 0:
-        return () if all(x == 0 for x in v) else None
-    a = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(width)]
-    piv = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, width) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(width):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, width):
-        if a[i][k] != 0:
+def coords_in_basis(v, hnf_rows):
+    """Integer coordinates of v in the lattice given by HNF rows, or None.
+
+    None means v is not in the lattice; this is the membership test.
+    """
+    v = list(v)
+    coords = []
+    for row in hnf_rows:
+        c = next(i for i, x in enumerate(row) if x != 0)
+        if v[c] % row[c] != 0:
             return None
-    coords = [Fraction(0)] * k
-    for i, c in enumerate(piv):
-        coords[c] = a[i][k]
-    return tuple(coords)
+        q = v[c] // row[c]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        coords.append(q)
+    return tuple(coords) if not any(v) else None

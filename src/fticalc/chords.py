@@ -683,12 +683,13 @@ def _find_multi_move(circles, pos, plan, level):
     return None
 
 
-def multi_tower_reduce(d, m, c=2, limits=None):
+def multi_tower_reduce(d, m, limits=None):
     """Reduce a multi-circle diagram to terms with boundary degree >= m
     or >= m blink markers.
 
-    Single-circle diagrams delegate to tower_reduce with c = limits.c.
-    Otherwise crossings are eliminated circle by circle; moves involving
+    limits (default ReductionLimits()) holds the constant c and the step
+    budget. Single-circle diagrams delegate to tower_reduce with
+    c = limits.c. Otherwise crossings are eliminated circle by circle; moves involving
     type II chords emit the marked error pair, and error branches retire
     once their marker count reaches m. The chord count precondition h(m) = c*m^13 applies
     to the rewriting path only; already-reduced diagrams return as a
@@ -697,7 +698,7 @@ def multi_tower_reduce(d, m, c=2, limits=None):
     if m < 1:
         raise ValueError("m must be a positive integer")
     if limits is None:
-        limits = ReductionLimits(c=c)
+        limits = ReductionLimits()
     if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, d._pos, stop_at=m) >= m:
         return DiagramSum({d: 1})
     if len(d.circles) == 1:

@@ -19,6 +19,7 @@ FILE may be '-' for stdin.
 """
 
 import argparse
+import itertools
 import sys
 
 from . import chords, groupring, johnson, links, symplectic
@@ -150,9 +151,11 @@ def cmd_sp_realize(args):
     print("transvections=%d" % len(data))
     for i, (vec, sign) in enumerate(data):
         print("t.%d=%+d:%s" % (i, sign, " ".join(str(x) for x in vec)))
+    # one k-th power per run of equal twists, k = +-(run length)
     product = symplectic.SpMatrix.identity(lat)
-    for vec, sign in data:
-        product = symplectic.compose(product, symplectic.transvection(lat, vec, sign))
+    for (vec, sign), run in itertools.groupby(data):
+        k = sign * sum(1 for _ in run)
+        product = symplectic.compose(product, symplectic.transvection(lat, vec, k))
     expected = symplectic.SpMatrix.upper_unitriangular(lat, c)
     print("verified=%s" % ("true" if product == expected else "false"))
     return 0

@@ -228,10 +228,6 @@ class TruncatedSeries:
     def one(cls, nvars, degree):
         return cls(nvars, degree, {(): 1})
 
-    @classmethod
-    def variable(cls, nvars, degree, idx):
-        return cls(nvars, degree, {(idx,): 1})
-
     def _check(self, other):
         if other.nvars != self.nvars or other.degree != self.degree:
             raise ValueError("series live in different truncated rings")
@@ -265,19 +261,6 @@ class TruncatedSeries:
                 w = w1 + w2
                 acc[w] = acc.get(w, 0) + c1 * c2
         return TruncatedSeries(self.nvars, self.degree, acc)
-
-    def __pow__(self, m):
-        m = int(m)
-        if m < 0:
-            raise ValueError("negative powers are not defined here")
-        out = TruncatedSeries.one(self.nvars, self.degree)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
 
     def constant_term(self):
         return self.terms.get((), 0)

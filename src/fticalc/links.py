@@ -30,6 +30,7 @@ File formats (line order free; _records.read sets the line rules):
               <matrix rows, sum(sizes) integers each>
 """
 
+import itertools
 from fractions import Fraction
 
 from . import _intlinalg as la
@@ -599,23 +600,8 @@ def casson(framings, blocks):
 def _unimodular_candidates(size, bound):
     """All integer matrices of the given size, entries in [-bound, bound],
     with determinant +-1. Desk-scale exhaustive enumeration."""
-    vals = range(-bound, bound + 1)
-    out = []
-    def rec(rows):
-        if len(rows) == size:
-            m = tuple(rows)
-            if abs(la.det(m)) == 1:
-                out.append(m)
-            return
-        def fill(row):
-            if len(row) == size:
-                rec(rows + [tuple(row)])
-                return
-            for v in vals:
-                fill(row + [v])
-        fill([])
-    rec([])
-    return out
+    rows = itertools.product(range(-bound, bound + 1), repeat=size)
+    return [m for m in itertools.product(rows, repeat=size) if abs(la.det(m)) == 1]
 
 
 def seifert_congruent(a, b, bound):

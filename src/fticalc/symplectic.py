@@ -120,7 +120,7 @@ class Sublattice:
     def contains(self, v):
         if len(v) != self.lat.dim:
             raise ValueError("vector length must be 2g")
-        return la.in_rowspan_z(v, self.basis)
+        return la.coords_in_basis(v, self.basis) is not None
 
     def intersection(self, other):
         self._check_ambient(other)
@@ -263,26 +263,29 @@ def compose(a, b):
     return SpMatrix(a.lat, la.mat_mul(a.entries, b.entries), _check=False)
 
 
-def transvection(lat, v, sign):
-    """The symplectic map x -> x + sign * <v, x> * v.
+def transvection(lat, v, k):
+    """The symplectic map x -> x + k * <v, x> * v, for a nonzero integer k.
 
-    For v in span(e) with coordinates lambda_i the matrix is
-    [[I, C], [0, I]] with C = sign * lambda lambda^T, so a twist on e_i
-    with sign +1 sends f_i to f_i + e_i. The sign input encodes the two
-    possible twist directions; no canonical choice is made.
+    Since <v, v> = 0 this is exactly the k-th power of the twist with
+    k = 1, so one matrix stands for |k| twists in one direction. For v
+    in span(e) with coordinates lambda_i the matrix is [[I, C], [0, I]]
+    with C = k * lambda lambda^T, so a twist on e_i with k = +1 sends
+    f_i to f_i + e_i. The sign of k encodes the two possible twist
+    directions; no canonical choice is made.
     """
     v = tuple(int(x) for x in v)
     if len(v) != lat.dim:
         raise ValueError("vector length must be 2g")
     if all(x == 0 for x in v):
         raise ValueError("transvection vector must be nonzero")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if k != int(k) or k == 0:
+        raise ValueError("power must be a nonzero integer")
+    k = int(k)
     j = lat.pairing_matrix()
     vj = la.mat_vec(la.transpose(j), v)  # row vector v^T J
     n = lat.dim
     rows = tuple(
-        tuple((1 if i == k else 0) + sign * v[i] * vj[k] for k in range(n))
+        tuple((1 if i == c else 0) + k * v[i] * vj[c] for c in range(n))
         for i in range(n)
     )
     return SpMatrix(lat, rows, _check=False)
@@ -351,29 +354,21 @@ def complementary_lagrangian(l, lplus, lminus):
     # complement of A+ inside L+, computed in L+ coordinates
     coords = []
     for v in a_plus.basis:
-        cv = la.coords_in_basis(v, lplus.basis, lat.dim)
-        if cv is None or any(x.denominator != 1 for x in cv):
+        cv = la.coords_in_basis(v, lplus.basis)
+        if cv is None:
             raise RuntimeError("L ^ L+ does not have integer coordinates in L+")
-        coords.append(tuple(int(x) for x in cv))
+        coords.append(cv)
     comp_coords = la.complete_to_unimodular(
         la.row_hnf(tuple(coords), lplus.rank), lplus.rank
     )
-    lp_gens = [
-        tuple(sum(cc[k] * lplus.basis[k][j] for k in range(lplus.rank))
-              for j in range(lat.dim))
-        for cc in comp_coords
-    ]
+    lp_gens = la.mat_mul(comp_coords, lplus.basis)
     # L'- = vectors of L- pairing to zero with every generator of L'+
     pair_rows = tuple(
         tuple(lat.pairing(w, u) for u in lp_gens) for w in lminus.basis
     )
     ker = la.int_kernel(la.transpose(pair_rows), lminus.rank)
-    lm_gens = [
-        tuple(sum(cc[k] * lminus.basis[k][j] for k in range(lminus.rank))
-              for j in range(lat.dim))
-        for cc in ker
-    ]
-    lp = Sublattice(lat, tuple(lp_gens) + tuple(lm_gens))
+    lm_gens = la.mat_mul(ker, lminus.basis)
+    lp = Sublattice(lat, lp_gens + lm_gens)
     if not lp.is_lagrangian():
         raise RuntimeError("the constructed complement is not a Lagrangian")
     if la.row_hnf(l.basis + lp.basis, lat.dim) != la.identity(lat.dim):

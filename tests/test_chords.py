@@ -462,7 +462,6 @@ def test_multi_tower_reduce_cases():
     assert all(boundary_degree(t) >= 2 for t in s.terms)
     # single circle delegates to tower_reduce
     star = ChordDiagram([tuple(range(8)) + tuple(range(8))])
-    assert multi_tower_reduce(star, 2, c=1) == tower_reduce(star, 2, c=1)
     limits = ReductionLimits(c=1)
     assert multi_tower_reduce(star, 2, limits=limits) == tower_reduce(star, 2, c=1)
     # precondition on the rewriting path

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -8,10 +9,10 @@ from fticalc._intlinalg import (
     coords_in_basis,
     det,
     identity,
-    in_rowspan_z,
     int_kernel,
     invert_unimodular,
     mat_mul,
+    mat_vec,
     rank,
     row_hnf,
     saturate,
@@ -146,12 +147,87 @@ def test_invert_unimodular():
             invert_unimodular(singular_or_not_unit)
 
 
+def random_unimodular(rng, n):
+    """A product of elementary row operations: adds, swaps and negations."""
+    rows = [list(r) for r in identity(n)]
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        elif op == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return tuple(tuple(r) for r in rows)
+
+
+def test_invert_unimodular_random():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for _ in range(6):
+            t = random_unimodular(rng, n)
+            inv = invert_unimodular(t)
+            assert mat_mul(t, inv) == identity(n)
+            assert mat_mul(inv, t) == identity(n)
+    assert invert_unimodular(()) == ()
+
+
+def test_invert_unimodular_rejects_det_two_and_singular():
+    rng = random.Random(6)
+    for n in range(1, 11):
+        for _ in range(4):
+            u = [list(r) for r in random_unimodular(rng, n)]
+            i = rng.randrange(n)
+            doubled = [r if k != i else [2 * x for x in r] for k, r in enumerate(u)]
+            if n == 1:
+                singular = [[0]]
+            else:
+                j = rng.choice([k for k in range(n) if k != i])
+                c = rng.randint(-2, 2)
+                singular = [r if k != i else [c * x for x in u[j]] for k, r in enumerate(u)]
+            for m in (doubled, singular):
+                m = mat_mul(tuple(map(tuple, m)), random_unimodular(rng, n))
+                assert abs(det(m)) in (0, 2)
+                with pytest.raises(ValueError, match="not unimodular"):
+                    invert_unimodular(m)
+
+
 def test_membership_and_coords():
     h = row_hnf(((2, 0), (0, 1)), 2)
-    assert in_rowspan_z((2, 5), h)
-    assert not in_rowspan_z((1, 0), h)
-    assert coords_in_basis((3, 3), ((1, 1),), 2) == (3,)
-    assert coords_in_basis((1, 2), ((1, 1),), 2) is None
+    assert coords_in_basis((2, 5), h) == (1, 5)
+    assert coords_in_basis((1, 0), h) is None
+    assert coords_in_basis((3, 3), ((1, 1),)) == (3,)
+    assert coords_in_basis((1, 2), ((1, 1),)) is None
+    assert coords_in_basis((0, 0), ()) == ()
+    assert coords_in_basis((0, 1), ()) is None
+
+
+def test_coords_in_basis_matches_hnf_oracle():
+    # unsaturated Hermite bases, and primitive vectors of their rational
+    # span that may miss the lattice; the oracle is an HNF without coords
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for width in range(1, 9):
+        for _ in range(12):
+            rows = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
+                         for _ in range(rng.randint(0, width)))
+            basis = row_hnf(rows, width)
+            for _ in range(8):
+                v = mat_vec(transpose(basis), [rng.randint(-3, 3) for _ in basis])
+                if not any(v) or rng.random() < 0.3:
+                    v = tuple(rng.randint(-2, 2) for _ in range(width))
+                elif rng.random() < 0.5:
+                    v = tuple(x // gcd(*v) for x in v)
+                coords = coords_in_basis(v, basis)
+                member = row_hnf(basis + (v,), width) == basis
+                assert (coords is not None) == member
+                seen[member] += 1
+                if member:
+                    assert len(coords) == len(basis)
+                    assert mat_vec(transpose(basis), coords) == v if basis else not any(v)
+    assert min(seen.values()) > 100
 
 
 def test_mat_mul_transpose():

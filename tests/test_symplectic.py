@@ -173,6 +173,53 @@ def test_transvection_always_symplectic():
                 assert transvection(lat, v, s).is_symplectic()
 
 
+def test_transvection_power_is_repeated_twist():
+    rng = random.Random(19)
+    for g in (1, 2, 3):
+        lat = SymplecticLattice(g)
+        for _ in range(5):
+            v = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+            if not any(v):
+                continue
+            for k in [s * a for a in range(1, 7) for s in (1, -1)]:
+                step = transvection(lat, v, 1 if k > 0 else -1)
+                prod = SpMatrix.identity(lat)
+                for _ in range(abs(k)):
+                    prod = compose(prod, step)
+                assert transvection(lat, v, k) == prod
+    lat = SymplecticLattice(2)
+    for bad in (0, 0.5):
+        with pytest.raises(ValueError, match="nonzero integer"):
+            transvection(lat, lat.e(1), bad)
+
+
+def test_contains_and_coords_match_hnf_oracle():
+    # Sublattice bases are saturated Hermite bases; membership is checked
+    # against an HNF that does not use coords_in_basis
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for g in range(1, 6):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(10):
+            gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, n))]
+            sub = Sublattice(lat, gens)
+            basis = sub.basis
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    v = la.mat_vec(la.transpose(gens), [rng.randint(-2, 2) for _ in gens])
+                else:
+                    v = tuple(rng.randint(-2, 2) for _ in range(n))
+                coords = la.coords_in_basis(v, basis)
+                member = la.row_hnf(basis + (v,), n) == basis
+                assert (coords is not None) == member == sub.contains(v)
+                seen[member] += 1
+                if member and basis:
+                    assert la.mat_vec(la.transpose(basis), coords) == v
+    assert min(seen.values()) > 100
+
+
 def test_realize_symmetric_examples():
     lat = SymplecticLattice(2)
     assert realize_symmetric(lat, ((0, 0), (0, 0))) == []
