@@ -55,9 +55,9 @@ is plain coefficient addition, so reduction branches can be evaluated
 independently and merged in any order with identical results.
 """
 
-from fractions import Fraction
 from math import comb, inf
 
+from . import _lincomb as lc
 from ._records import read
 
 
@@ -321,41 +321,26 @@ def canonicalize(d):
 
 
 class DiagramSum:
-    """Exact rational combination of canonicalized chord diagrams.
+    """Exact combination of canonicalized chord diagrams.
 
     Accepts a mapping or an iterable of (diagram, coefficient) pairs;
-    repeated diagrams have their coefficients summed.
+    repeated diagrams have their coefficients summed. Coefficients are
+    ints unless a division makes them Fractions.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for d, coeff in items:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            key = canonicalize(d)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        self.terms = {d: c for d, c in acc.items() if c}
+        self.terms = lc.collect((canonicalize(d), c) for d, c in lc.pairs(terms) if c)
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for d, c in other.terms.items():
-            acc[d] = acc.get(d, Fraction(0)) + c
-        out = DiagramSum()
-        out.terms = {d: c for d, c in acc.items() if c}
-        return out
+        return lc.new(DiagramSum, terms=lc.add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = DiagramSum()
-        out.terms = {d: scalar * c for d, c in self.terms.items() if scalar * c}
-        return out
+        return lc.new(DiagramSum, terms=lc.scale(scalar, self.terms))
 
     def __eq__(self, other):
         return isinstance(other, DiagramSum) and other.terms == self.terms
@@ -367,7 +352,7 @@ class DiagramSum:
         return sorted(self.terms.items(), key=lambda t: (t[0].circles, t[0].marks))
 
     def coefficient_sum(self):
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values())
 
     def __repr__(self):
         return "DiagramSum(%d terms)" % len(self.terms)
@@ -483,11 +468,10 @@ def four_term(d, fixed, moving, version):
               and mover_circles != fixed_circles)
     if not ok:
         raise ValueError("configuration does not match version %d" % version)
-    terms = {}
-    for new_circles, added, sign in _move(d.circles, d._pos, circ, slot, fixed):
-        key = ChordDiagram(new_circles, d.marks + added)
-        terms[key] = terms.get(key, Fraction(0)) + sign
-    return DiagramSum(terms)
+    return DiagramSum(
+        (ChordDiagram(new_circles, d.marks + added), sign)
+        for new_circles, added, sign in _move(d.circles, d._pos, circ, slot, fixed)
+    )
 
 
 # -- single-circle tower reduction ------------------------------------------

@@ -1,9 +1,9 @@
 """Exact multilinear algebra over the symplectic lattice.
 
 Three graded pieces are supported: wedge2 (Lambda^2 H), wedge3
-(Lambda^3 H) and tensor12 (H tensor Lambda^2 H), with rational
-coefficients throughout (subspace membership is a Q-linear question and
-the iterated-commutator values carry integer factors like 6).
+(Lambda^3 H) and tensor12 (H tensor Lambda^2 H), with int coefficients
+unless a division makes them Fractions (subspace membership is a
+Q-linear question; iterated-commutator values carry factors like 6).
 
 Elements are sparse maps from canonically ordered index tuples to
 nonzero coefficients; indices are 0-based coordinates of the ambient
@@ -11,8 +11,8 @@ space, which is Z^(2g) for surface homology or Z^g after a quotient by
 a Lagrangian. Values are immutable and operations pure.
 
 Text form: terms "coeff*i^j", "coeff*i^j^k" or "coeff*a@i^j" (tensor
-slot before '@'), joined by ' + ', with 1-based indices and Fraction
-coefficients; "0" is the zero element. Round-trips exactly.
+slot before '@'), joined by ' + ', with 1-based indices and integer or
+rational coefficients; "0" is the zero element. Round-trips exactly.
 
 Every matrix action is summed by one accumulator, _sum_products: act and
 the difference actions of johnson hand it the factors of each term and it
@@ -24,30 +24,31 @@ from itertools import combinations
 from math import lcm
 
 from . import _intlinalg as la
+from . import _lincomb as lc
 
 GRADES = ("wedge2", "wedge3", "tensor12")
 
 
-def _key_sort(grade, key):
-    """Canonical key and sign for one term, or None if it vanishes."""
+def _key_sort(grade, key, c):
+    """The term c*key as (canonical key, signed coefficient), or None if it
+    vanishes."""
     if grade == "wedge2":
         i, j = key
         if i == j:
             return None
-        return ((i, j), 1) if i < j else ((j, i), -1)
+        return ((i, j), c) if i < j else ((j, i), -c)
     if grade == "wedge3":
         i, j, k = key
         if len({i, j, k}) < 3:
             return None
         order = tuple(sorted((i, j, k)))
         perm = [order.index(x) for x in (i, j, k)]
-        sign = 1 if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -1
-        return (order, sign)
+        return (order, c if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -c)
     if grade == "tensor12":
         a, i, j = key
         if i == j:
             return None
-        return ((a, i, j), 1) if i < j else ((a, j, i), -1)
+        return ((a, i, j), c) if i < j else ((a, j, i), -c)
     raise ValueError("unknown grade %r" % (grade,))
 
 
@@ -61,20 +62,11 @@ class MultiVector:
             raise ValueError("unknown grade %r" % (grade,))
         self.dim = int(dim)
         self.grade = grade
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(not 0 <= x < self.dim for x in key):
-                raise ValueError("index out of range for dimension %d" % self.dim)
-            norm = _key_sort(grade, tuple(key))
-            if norm is None:
-                continue
-            k, s = norm
-            acc[k] = acc.get(k, Fraction(0)) + s * coeff
-        self.terms = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+        terms = [(tuple(k), c) for k, c in lc.pairs(terms) if c]
+        if any(not 0 <= x < self.dim for k, _ in terms for x in k):
+            raise ValueError("index out of range for dimension %d" % self.dim)
+        signed = [_key_sort(grade, k, c) for k, c in terms]
+        self.terms = tuple(sorted(lc.collect(t for t in signed if t).items()))
 
     @classmethod
     def zero(cls, dim, grade):
@@ -86,22 +78,19 @@ class MultiVector:
     def terms_dict(self):
         return dict(self.terms)
 
-    def _like(self, mapping):
-        return MultiVector(self.dim, self.grade, mapping)
+    def _like(self, terms):
+        return lc.new(MultiVector, dim=self.dim, grade=self.grade,
+                      terms=tuple(sorted(terms.items())))
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return self._like(acc)
+        return self._like(lc.add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return self._like({k: scalar * c for k, c in self.terms})
+        return self._like(lc.scale(scalar, self.terms))
 
     def __neg__(self):
         return (-1) * self
@@ -145,7 +134,7 @@ class MultiVector:
             if grade is None:
                 raise ValueError("the zero element needs an explicit grade")
             return cls.zero(dim, grade)
-        terms = {}
+        terms = []
         for part in text.split("+"):
             part = part.strip()
             if not part:
@@ -170,8 +159,7 @@ class MultiVector:
                 grade = this_grade
             elif grade != this_grade:
                 raise ValueError("mixed grades in %r" % text)
-            key = tuple(i - 1 for i in idx)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms.append((tuple(i - 1 for i in idx), coeff))
         return cls(dim, grade, terms)
 
 
@@ -221,14 +209,9 @@ def tensor_wedge(a, bc, dim=None):
         dim = len(a)
     if bc.grade != "wedge2" or bc.dim != dim or len(a) != dim:
         raise ValueError("expected a vector and a wedge2 element of matching dimension")
-    terms = {}
-    for s, x in enumerate(a):
-        if x == 0:
-            continue
-        for (i, j), c in bc.terms:
-            key = (s, i, j)
-            terms[key] = terms.get(key, Fraction(0)) + x * c
-    return MultiVector(dim, "tensor12", terms)
+    return MultiVector(dim, "tensor12", (
+        ((s, i, j), x * c) for s, x in enumerate(a) if x for (i, j), c in bc.terms
+    ))
 
 
 def embed_wedge3(w):
@@ -239,15 +222,11 @@ def embed_wedge3(w):
     """
     if w.grade != "wedge3":
         raise ValueError("embed_wedge3 expects a wedge3 element")
-    terms = {}
-    for (i, j, k), c in w.terms:
-        for slot, pair, sign in ((i, (j, k), 1), (j, (k, i), 1), (k, (i, j), 1)):
-            norm = _key_sort("tensor12", (slot,) + pair)
-            if norm is None:
-                continue
-            key, s = norm
-            terms[key] = terms.get(key, Fraction(0)) + sign * s * c
-    return MultiVector(w.dim, "tensor12", terms)
+    return MultiVector(w.dim, "tensor12", (
+        (key, c)
+        for (i, j, k), c in w.terms
+        for key in ((i, j, k), (j, k, i), (k, i, j))
+    ))
 
 
 def _matrix_rows(m):
@@ -260,6 +239,12 @@ def _column(rows, j):
     return tuple(row[j] for row in rows)
 
 
+def _over_z(terms):
+    """The least common denominator of the coefficients, and the terms times it."""
+    scale = lcm(*(c.denominator for _, c in terms))
+    return scale, [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
+
+
 def _sum_products(x, r, products):
     """The sum over the terms c*key of x of c times each product in products(key).
 
@@ -267,11 +252,11 @@ def _sum_products(x, r, products):
     three factors wedged together for wedge2/wedge3, and a head vector
     tensored with the wedge of the other two for tensor12.
     """
-    # accumulate over Z with the common denominator of x taken out
-    scale = lcm(*(c.denominator for _, c in x.terms))
+    # accumulate over Z with the common denominator of x taken out; the
+    # keys come out canonical, so the result skips MultiVector's key rule
+    scale, scaled = _over_z(x.terms)
     acc = {}
-    for key, c in x.terms:
-        c = int(c * scale)
+    for key, c in scaled:
         for factors in products(key):
             if x.grade == "tensor12":
                 head = [(s, y) for s, y in enumerate(factors[0]) if y]
@@ -281,7 +266,8 @@ def _sum_products(x, r, products):
             else:
                 for k, w in _wedge_terms(factors).items():
                     acc[k] = acc.get(k, 0) + c * w
-    return MultiVector(r, x.grade, {k: Fraction(v, scale) for k, v in acc.items()})
+    terms = sorted((k, v if scale == 1 else Fraction(v, scale)) for k, v in acc.items() if v)
+    return lc.new(MultiVector, dim=r, grade=x.grade, terms=tuple(terms))
 
 
 def act(m, x):
@@ -331,13 +317,10 @@ def quotient_mod_L(x, l):
 
 def _integer_rows(vectors, index):
     """Coefficient rows over the given key index, each scaled to integers."""
-    rows = []
-    for v in vectors:
-        scale = lcm(*(c.denominator for _, c in v.terms))
-        row = [0] * len(index)
-        for k, c in v.terms:
-            row[index[k]] = int(c * scale)
-        rows.append(row)
+    rows = [[0] * len(index) for _ in vectors]
+    for row, v in zip(rows, vectors):
+        for k, c in _over_z(v.terms)[1]:
+            row[index[k]] = c
     return rows
 
 

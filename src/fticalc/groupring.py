@@ -24,6 +24,8 @@ The truncation degree is guarded at N <= 8 (term counts grow like
 (2g)^N; with 2g <= 6 that is the desk-scale limit).
 """
 
+from . import _lincomb as lc
+
 MAX_DEGREE = 8
 
 
@@ -212,17 +214,14 @@ class TruncatedSeries:
             raise ValueError("truncation degree is guarded at N <= %d" % MAX_DEGREE)
         self.nvars = int(nvars)
         self.degree = int(degree)
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
-            word = tuple(word)
-            if len(word) > degree:
-                continue
-            if any(not 0 <= v < self.nvars for v in word):
-                raise ValueError("variable index out of range")
-            if coeff:
-                acc[word] = acc.get(word, 0) + coeff
-        self.terms = {w: c for w, c in acc.items() if c}
+        # the key rule: words beyond the truncation degree are dropped unread
+        terms = [(tuple(w), c) for w, c in lc.pairs(terms) if len(w) <= degree]
+        if any(not 0 <= v < self.nvars for w, _ in terms for v in w):
+            raise ValueError("variable index out of range")
+        self.terms = lc.collect(terms)
+
+    def _like(self, terms):
+        return lc.new(TruncatedSeries, nvars=self.nvars, degree=self.degree, terms=terms)
 
     @classmethod
     def one(cls, nvars, degree):
@@ -234,33 +233,24 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, 0) + c
-        return TruncatedSeries(self.nvars, self.degree, acc)
+        return self._like(lc.add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return TruncatedSeries(
-            self.nvars, self.degree, {w: scalar * c for w, c in self.terms.items()}
-        )
+        return self._like(lc.scale(scalar, self.terms))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
-        n = self.degree
-        acc = {}
-        for w1, c1 in self.terms.items():
-            room = n - len(w1)
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                acc[w] = acc.get(w, 0) + c1 * c2
-        return TruncatedSeries(self.nvars, self.degree, acc)
+        return self._like(lc.collect(
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+            if len(w1) + len(w2) <= self.degree
+        ))
 
     def constant_term(self):
         return self.terms.get((), 0)
@@ -313,7 +303,8 @@ def magnus(w, n):
                     up[key] = v
                 else:
                     del up[key]
-    return TruncatedSeries(w.ngens, n, [t for level in levels for t in level.items()])
+    terms = {word: c for level in levels for word, c in level.items()}
+    return lc.new(TruncatedSeries, nvars=w.ngens, degree=n, terms=terms)
 
 
 def iadic_degree(s):

@@ -34,6 +34,7 @@ import itertools
 from fractions import Fraction
 
 from . import _intlinalg as la
+from . import _lincomb as lc
 from ._records import read, set_once
 
 
@@ -235,37 +236,28 @@ def is_unimodular(m):
 
 
 class FormalSum:
-    """Exact rational combination of opaque surgery descriptors.
+    """Exact combination of opaque surgery descriptors.
 
     A descriptor is (manifold label, frozenset of surged items); items
     are ("comp", i) or ("pair", p) tags. Surgering accumulates into the
     frozenset, so the same manifold reached along different surgery
-    orders gets the same descriptor.
+    orders gets the same descriptor. Coefficients are ints unless a
+    division makes them Fractions.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for desc, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[desc] = acc.get(desc, Fraction(0)) + coeff
-        self.terms = {d: c for d, c in acc.items() if c}
+        self.terms = lc.collect(terms)
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for d, c in other.terms.items():
-            acc[d] = acc.get(d, Fraction(0)) + c
-        return FormalSum(acc)
+        return lc.new(FormalSum, terms=lc.add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return FormalSum({d: scalar * c for d, c in self.terms.items()})
+        return lc.new(FormalSum, terms=lc.scale(scalar, self.terms))
 
     def __neg__(self):
         return (-1) * self
@@ -277,7 +269,7 @@ class FormalSum:
         return len(self.terms)
 
     def coefficient_sum(self):
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values())
 
     def sorted_terms(self):
         def key(item):
@@ -309,13 +301,11 @@ def _normalize_base(base):
 def _expand(base, comp_items, pair_items):
     label, surged = base
     items = [("comp", i) for i in comp_items] + [("pair", p) for p in pair_items]
-    terms = {}
-    for mask in range(1 << len(items)):
-        chosen = [items[k] for k in range(len(items)) if mask >> k & 1]
-        desc = (label, surged | frozenset(chosen))
-        sign = -1 if len(chosen) % 2 else 1
-        terms[desc] = terms.get(desc, 0) + sign
-    return FormalSum(terms)
+    return FormalSum(
+        ((label, surged | frozenset(chosen)), (-1) ** size)
+        for size in range(len(items) + 1)
+        for chosen in itertools.combinations(items, size)
+    )
 
 
 def bracket_expand(base, obj):
@@ -467,12 +457,7 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        acc = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for k, c in items:
-            if c:
-                acc[int(k)] = acc.get(int(k), 0) + c
-        self.coeffs = {k: c for k, c in acc.items() if c}
+        self.coeffs = lc.collect((int(k), c) for k, c in lc.pairs(coeffs))
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and other.coeffs == self.coeffs
@@ -481,22 +466,19 @@ class LaurentPoly:
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __add__(self, other):
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, 0) + c
-        return LaurentPoly(acc)
+        return lc.new(LaurentPoly, coeffs=lc.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({k: other * c for k, c in self.coeffs.items()})
-        acc = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-        return LaurentPoly(acc)
+            return lc.new(LaurentPoly, coeffs=lc.scale(other, self.coeffs))
+        return lc.new(LaurentPoly, coeffs=lc.collect(
+            (k1 + k2, c1 * c2)
+            for k1, c1 in self.coeffs.items()
+            for k2, c2 in other.coeffs.items()
+        ))
 
     __rmul__ = __mul__
 

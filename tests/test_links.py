@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fticalc import _intlinalg as la
+from fticalc.chords import ChordDiagram, four_term, tower_reduce
+from fticalc.exterior import act, tensor_wedge, wedge
+from fticalc.groupring import GroupWord, magnus
+from fticalc.johnson import LbarElement, lmo_delta, triple_commutator_tau
 from fticalc.links import (
     BlinkPresentation,
     FormalSum,
@@ -21,6 +25,7 @@ from fticalc.links import (
     seifert_congruent,
     seifert_framing_to_framing,
 )
+from fticalc.symplectic import SymplecticLattice
 
 TREFOIL = SeifertMatrix.knot([[-1, 1], [0, -1]])
 FIGURE8 = SeifertMatrix.knot([[1, 1], [0, -1]])
@@ -114,6 +119,16 @@ def test_blink_unimodularity_random():
     for _ in range(150):
         b = random_blink(rng, rng.randint(0, 5))
         assert is_unimodular(blink_linking_matrix(b))
+
+
+def test_blink_determinant_is_sign_of_pair_count():
+    # row x - row y of pair p is eps(e_x + e_y), because the cross-pair
+    # entries agree; column y - column x then leaves eps and -eps on the
+    # pair's diagonal, so det = (-1)^r whatever the integers
+    rng = random.Random(103)
+    for _ in range(300):
+        r = rng.randint(0, 7)
+        assert la.det(blink_linking_matrix(random_blink(rng, r))) == (-1) ** r
 
 
 def test_is_unimodular_examples():
@@ -412,3 +427,46 @@ def test_file_round_trips():
     assert sm == TREFOIL and frames == (1,)
     sm2, frames2 = SeifertMatrix.from_text(TREFOIL.to_text())
     assert sm2 == TREFOIL and frames2 is None
+
+
+def test_entry_points_keep_int_coefficients():
+    # integer inputs give int coefficients, and a Fraction appears only
+    # where a division makes one: no entry point ever stores a float
+    rng = random.Random(107)
+    lat = SymplecticLattice(3)
+    n = lat.dim
+
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+
+    def coefficients(*values):
+        for v in values:
+            terms = v.coeffs if isinstance(v, LaurentPoly) else v.terms
+            yield from (terms.values() if isinstance(terms, dict) else (c for _, c in terms))
+
+    exact_ints = []
+    for _ in range(4):
+        seq = [i for i in range(16) for _ in range(2)]
+        rng.shuffle(seq)
+        d = ChordDiagram([seq])
+        slot = rng.choice([p for p in range(32) if seq[p] != seq[(p + 1) % 32]])
+        exact_ints += [
+            bracket_expand("M", random_blink(rng, rng.randint(1, 5))),
+            four_term(d, d.circles[0][(slot + 1) % 32], (0, slot), 1),
+            tower_reduce(d, 2),
+        ]
+    assert all(type(c) is int for c in coefficients(*exact_ints))
+
+    others = []
+    for _ in range(4):
+        c = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+        lam = LbarElement.from_symmetric(lat, tuple(
+            tuple(c[min(i, j)][max(i, j)] for j in range(3)) for i in range(3)))
+        x = tensor_wedge(vec(), wedge((vec(), vec())))
+        w = wedge((vec(), vec(), vec()))
+        word = GroupWord(4, [(rng.randrange(4), rng.choice((1, -1))) for _ in range(8)])
+        others += [act(lam.matrix, x), lmo_delta(lam, x), triple_commutator_tau(lam, w),
+                   magnus(word, 4), alexander(random_knot_block(rng, rng.randint(1, 2))),
+                   act(lam.matrix, Fraction(1, 2) * x), lmo_delta(lam, Fraction(1, 3) * x)]
+    assert not any(isinstance(c, float) for c in coefficients(*others))
+    assert any(isinstance(c, Fraction) for c in coefficients(*others))
