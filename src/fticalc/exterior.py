@@ -143,6 +143,8 @@ class MultiVector:
             if not body:
                 raise ValueError("term %r lacks '*'" % part)
             coeff = Fraction(coeff_text.strip())
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
             body = body.strip()
             if "@" in body:
                 slot, _, wedge_part = body.partition("@")

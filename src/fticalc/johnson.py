@@ -47,10 +47,9 @@ class LbarElement:
         for v in l.basis:
             if matrix.apply(v) != v:
                 raise ValueError("matrix must fix L pointwise")
-        for e_k in la.identity(lat.dim):
-            diff = tuple(a - b for a, b in zip(matrix.apply(e_k), e_k))
-            if not l.contains(diff):
-                raise ValueError("(matrix - I) H must land in L")
+        # That puts (M - I) H in L: for x in L, <x, (M - I)y> = <Mx, My> -
+        # <x, y> = 0 as M is symplectic and fixes x, and L^perp = L for a
+        # saturated Lagrangian L.
         self.lat = lat
         self.l = l
         self.matrix = matrix

@@ -32,6 +32,7 @@ File formats (line order free; _records.read sets the line rules):
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from . import _intlinalg as la
 from . import _lincomb as lc
@@ -566,7 +567,7 @@ def alexander(a):
 
 def phi(a):
     """Second derivative at 1 of the normalized Alexander polynomial."""
-    return Fraction(alexander(a).second_derivative_at_one())
+    return alexander(a).second_derivative_at_one()
 
 
 def casson(framings, blocks):
@@ -576,14 +577,7 @@ def casson(framings, blocks):
     blocks = list(blocks)
     if len(framings) != len(blocks):
         raise ValueError("framings and blocks must have the same length")
-    return sum((Fraction(f) * phi(b) for f, b in zip(framings, blocks)), Fraction(0))
-
-
-def _unimodular_candidates(size, bound):
-    """All integer matrices of the given size, entries in [-bound, bound],
-    with determinant +-1. Desk-scale exhaustive enumeration."""
-    rows = itertools.product(range(-bound, bound + 1), repeat=size)
-    return [m for m in itertools.product(rows, repeat=size) if abs(la.det(m)) == 1]
+    return sum(f * phi(b) for f, b in zip(framings, blocks))
 
 
 def seifert_congruent(a, b, bound):
@@ -591,36 +585,37 @@ def seifert_congruent(a, b, bound):
 
     True means such a P with entries in [-bound, bound] was found; False
     means none exists within the bound, not a disproof of congruence.
+    P is filled in one column at a time, each column inside its own block.
+    Once column k is fixed, the entries (j, k) and (k, j) of P^T A P for
+    every j <= k are compared with B, and a block is rejected at its last
+    column unless its determinant is +-1.
     """
     if a.sizes != b.sizes:
         raise ValueError("blocks have different shapes")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    per_block = []
-    for i, s in enumerate(a.sizes):
-        cands = [
-            p for p in _unimodular_candidates(s, bound)
-            if la.mat_mul(la.mat_mul(la.transpose(p), a.block(i, i)), p) == b.block(i, i)
-        ]
-        if not cands:
-            return False
-        per_block.append(cands)
+    m, mt, want = a.entries, la.transpose(a.entries), b.entries
+    starts = itertools.accumulate(a.sizes, initial=0)
+    spans = [(lo, lo + s) for lo, s in zip(starts, a.sizes) for _ in range(s)]
+    cols = []  # per column q of P fixed so far: its block entries, A q, A^T q
 
-    k = len(a.sizes)
+    def dot(u, x):
+        return sum(map(mul, u, x))
 
-    def rec(chosen):
-        i = len(chosen)
-        if i == k:
+    def search(k):
+        if k == len(spans):
             return True
-        for p in per_block[i]:
-            ok = True
-            for j in range(i):
-                pj = chosen[j]
-                if la.mat_mul(la.mat_mul(la.transpose(pj), a.block(j, i)), p) != b.block(j, i):
-                    ok = False
-                    break
-            if ok and rec(chosen + [p]):
+        lo, hi = spans[k]
+        for x in itertools.product(range(-bound, bound + 1), repeat=hi - lo):
+            ap, atp = (tuple(dot(row[lo:hi], x) for row in t) for t in (m, mt))
+            cols.append((x, ap, atp))
+            # entries (j, k) and (k, j) of P^T A P are (A^T q_j).q_k and (A q_j).q_k
+            if (all(dot(atq[lo:hi], x) == want[j][k] and dot(aq[lo:hi], x) == want[k][j]
+                    for j, (_, aq, atq) in enumerate(cols))
+                    and (k + 1 < hi or abs(la.det([c[0] for c in cols[lo:]])) == 1)
+                    and search(k + 1)):
                 return True
+            cols.pop()
         return False
 
-    return rec([])
+    return search(0)

@@ -232,6 +232,12 @@ def test_text_round_trip():
     assert MultiVector.from_text(z.to_text(), 4, "wedge2") == z
     with pytest.raises(ValueError):
         MultiVector.from_text("0", 4)
+    # integral coefficient text gives an int, as the arithmetic does
+    v = MultiVector.from_text("3*1^2 + 1/2*2^3 + 4/2*1^4", 4)
+    assert v.terms == (((0, 1), 3), ((0, 3), 2), ((1, 2), Fraction(1, 2)))
+    assert [type(c) for _, c in v.terms] == [int, int, Fraction]
+    assert MultiVector.from_text(v.to_text(), 4) == v
+    assert v.to_text() == "3*1^2 + 2*1^4 + 1/2*2^3"
 
 
 def test_quotient_higher_grades():

@@ -241,3 +241,25 @@ def test_filtration_level_examples():
         filtration_level(wedge((e1, f1)), l)
     with pytest.raises(ValueError):
         filtration_level(tensor_wedge(f1, wedge((f1, f2))), Sublattice(lat, [e1]))
+
+
+def test_lbar_element_moves_h_into_l():
+    # LbarElement derives (M - I) H in L from its other checks instead of
+    # checking it; this oracle checks it for L+ and for L+ moved by q
+    import fticalc._intlinalg as la
+    from fticalc.symplectic import compose
+
+    rng = random.Random(131)
+    for g in (1, 2, 3, 4):
+        lat = SymplecticLattice(g)
+        for _ in range(4):
+            lam = LbarElement.from_symmetric(lat, random_symmetric(rng, g))
+            q = SpMatrix.identity(lat)
+            for _ in range(3):
+                v = tuple(rng.randint(-2, 2) for _ in range(lat.dim))
+                if any(v):
+                    q = compose(q, transvection(lat, v, rng.choice((1, -1))))
+            moved = Sublattice(lat, [q.apply(b) for b in lam.l.basis])
+            m = la.mat_mul(la.mat_mul(q.entries, lam.matrix.entries), q.inverse().entries)
+            for mu in (lam, LbarElement(lat, moved, SpMatrix(lat, m))):
+                assert all(mu.l.contains(mu.delta(e)) for e in la.identity(lat.dim))

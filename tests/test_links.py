@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -327,12 +330,14 @@ def test_phi_examples():
     assert phi(UNKNOT) == 0
     assert phi(TREFOIL) == 2
     assert phi(FIGURE8) == -2
+    assert all(type(phi(b)) is int for b in (UNKNOT, TREFOIL, FIGURE8))
 
 
 def test_casson_examples():
     assert casson([], []) == 0
     assert casson([1], [TREFOIL]) == 2
     assert casson([1, 1], [TREFOIL, FIGURE8]) == 0
+    assert type(casson([], [])) is int and type(casson([1, -1], [TREFOIL, FIGURE8])) is int
     with pytest.raises(ValueError):
         casson([1], [])
 
@@ -354,6 +359,11 @@ def test_seifert_congruent_examples():
     b = la.mat_mul(la.mat_mul(la.transpose(p), TREFOIL.entries), p)
     assert seifert_congruent(TREFOIL, SeifertMatrix.knot(b), 2)
     assert not seifert_congruent(TREFOIL, FIGURE8, 2)
+    # P = diag(+-1, +-1) leaves the lower cross-block entry (1, 0) at 0, never 5
+    a = SeifertMatrix((1, 1), ((1, 0), (0, 1)))
+    b = SeifertMatrix((1, 1), ((1, 0), (5, 1)))
+    assert not seifert_congruent(a, b, 1)
+    assert not seifert_congruent(b, a, 2)
     with pytest.raises(ValueError):
         seifert_congruent(TREFOIL, UNKNOT, 1)
 
@@ -470,3 +480,90 @@ def test_entry_points_keep_int_coefficients():
                    act(lam.matrix, Fraction(1, 2) * x), lmo_delta(lam, Fraction(1, 3) * x)]
     assert not any(isinstance(c, float) for c in coefficients(*others))
     assert any(isinstance(c, Fraction) for c in coefficients(*others))
+
+
+@functools.lru_cache(maxsize=None)
+def unimodular_blocks(size, bound):
+    """Every size x size matrix with entries in [-bound, bound] and det +-1."""
+    def det(m):
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    values = range(-bound, bound + 1)
+    return [m for m in itertools.product(itertools.product(values, repeat=size), repeat=size)
+            if abs(det(m)) == 1]
+
+
+def exhaustive_congruent(a, b, bound):
+    """Every block-diagonal P with entries in [-bound, bound] and unimodular
+    blocks, tried against the whole of P^T A P = B."""
+    n = sum(a.sizes)
+    for blocks in itertools.product(*(unimodular_blocks(s, bound) for s in a.sizes)):
+        p = [[0] * n for _ in range(n)]
+        start = 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                p[start + i][start:start + len(row)] = row
+            start += len(blk)
+        ap = [[sum(a.entries[i][k] * p[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
+        if all(sum(p[k][i] * ap[k][j] for k in range(n)) == b.entries[i][j]
+               for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
+def random_block_unimodular(rng, sizes, bound):
+    n = sum(sizes)
+    p = [[0] * n for _ in range(n)]
+    start = 0
+    for s in sizes:
+        while True:
+            blk = [[rng.randint(-bound, bound) for _ in range(s)] for _ in range(s)]
+            if abs(la.det(blk)) == 1:
+                break
+        for i in range(s):
+            p[start + i][start:start + s] = blk[i]
+        start += s
+    return p
+
+
+def test_seifert_congruent_matches_exhaustive_oracle():
+    rng = random.Random(109)
+    cases = [(sizes, 1) for sizes in ((1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (0, 2))]
+    cases += [(sizes, 2) for sizes in ((1,), (2,), (1, 1))]
+    seen = set()
+    for sizes, bound in cases:
+        n = sum(sizes)
+        for t in range(12):
+            a = SeifertMatrix(sizes, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if t % 3 == 0:
+                b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            else:
+                p = random_block_unimodular(rng, sizes, bound)
+                b = [list(row) for row in la.mat_mul(la.mat_mul(la.transpose(p), a.entries), p)]
+                if t % 3 == 2:  # a congruent copy with one entry moved
+                    b[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+            b = SeifertMatrix(sizes, b)
+            want = exhaustive_congruent(a, b, bound)
+            assert seifert_congruent(a, b, bound) == want, (sizes, bound, a.entries, b.entries)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_seifert_congruent_genus_two_within_budget():
+    rng = random.Random(113)
+    a = random_knot_block(rng, 2)
+    other = random_knot_block(rng, 2)
+    while alexander(other) == alexander(a):
+        other = random_knot_block(rng, 2)
+    p = ((1, 1, 0, -1), (0, 1, 0, 0), (0, -1, 1, 0), (1, 0, 1, 0))
+    assert abs(la.det(p)) == 1
+    copy = SeifertMatrix.knot(la.mat_mul(la.mat_mul(la.transpose(p), a.entries), p))
+    for bound in (1, 2):
+        for b, want in ((copy, True), (other, False)):
+            t0 = time.monotonic()
+            assert seifert_congruent(a, b, bound) is want
+            assert time.monotonic() - t0 < 2.0
