@@ -1,7 +1,8 @@
 """Exact linear algebra over Z on small dense matrices.
 
-Matrices are tuples of row tuples. Everything is desk scale (dimension
-<= ~16), so the algorithms favour clarity and exactness over speed.
+Matrices are tuples of row tuples, dense and of modest size (blink
+linking matrices reach dimension 64 in the benchmark's determinants),
+so the algorithms favour clarity and exactness over speed.
 There are two eliminations: fraction-free Bareiss for determinants, and
 the gcd-based integer row echelon `_echelon`, which carries lattice
 normal forms, ranks, kernels, unimodular inverses and lattice

@@ -7,8 +7,9 @@ type I (two endpoints) or type II (four endpoints, two on each of two
 distinct circles). Two chords intersect when some circle carries two
 endpoints of each in interleaved (1212) cyclic order; the boundary
 degree is the size of a largest pairwise-nonintersecting chord set: an
-O(N^2) interval DP per circle when every chord is type I, otherwise a
-branch-and-bound search on the crossing graph.
+O(N * bd) interval DP per circle, which a retirement test stops at its
+level, when every chord is type I, otherwise a branch-and-bound search
+on the crossing graph.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -38,6 +39,9 @@ The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
 per circle, so it is built row by row, keeping at each depth only the
 partial states (circles used, labels given) whose newest row is least.
+A circle sharing no chord with another meets no labelled token, so its
+rows count up to a first, smaller, repeat: only the turns that start on
+a chord of least arc and run along it can be least, and only they are tried.
 
 Diagram text format:
 
@@ -55,6 +59,7 @@ is plain coefficient addition, so reduction branches can be evaluated
 independently and merged in any order with identical results.
 """
 
+from bisect import bisect_right
 from math import comb, inf
 
 from . import _lincomb as lc
@@ -249,32 +254,37 @@ def _mis(masks, stop_at=None):
     return best_size, best_set
 
 
-def _bd_circle(seq):
+def _bd_circle(seq, cap=None):
     """Largest noncrossing chord set of one circle of type I chords (Supowit
-    1987). rows[i][j] is the best on slots [i, j); with k the partner of i,
-    it is rows[i+1][j], or 1 + rows[i+1][k] + rows[k+1][j] if i < k < j."""
+    1987), or cap if that is smaller. t[i][v-1] is the least j such that
+    slots [i, j) hold v noncrossing chords, so t[i] is nondecreasing. With
+    k > i the partner of i, it is t[i+1] except that the a chords inside
+    (i, k) and (i, k) itself end at k+1, and each further chord ends at the
+    sooner of t[i+1] and t[k+1]. Cut to cap entries: O(N * min(bd, cap))."""
     n = len(seq)
     partner, first = [0] * n, {}
     for p, tok in enumerate(seq):
         q = first.setdefault(tok, p)
         partner[p], partner[q] = q, p
-    rows = [None] * n + [[0] * (n + 1)]
+    t = [()] * (n + 1)
     for i in range(n - 1, -1, -1):
-        row = rows[i + 1][:]
-        k = partner[i]
+        k, row = partner[i], t[i + 1]
         if k > i:
-            inner, far = row[k] + 1, rows[k + 1]
-            row[k + 1:] = [a if a > inner + b else inner + b
-                           for a, b in zip(row[k + 1:], far[k + 1:])]
-        rows[i] = row
-    return rows[0][n]
+            a = bisect_right(row, k)
+            near, far = row[a + 1:], t[k + 1]
+            if len(near) < len(far):
+                near, far = far, near
+            row = (row[:a] + (k + 1,) + tuple(map(min, near, far)) + near[len(far):])[:cap]
+        t[i] = row
+    return len(t[0])
 
 
 def _bd_raw(circles, pos, stop_at=None):
-    """Boundary degree of raw circles; type I chords on different circles
-    never interleave, so without type II chords it is a sum per circle."""
+    """Boundary degree of raw circles, or a value >= stop_at once it
+    reaches stop_at; type I chords on different circles never interleave,
+    so without type II chords it is a sum per circle."""
     if all(len(per) == 1 for per in pos.values()):
-        return sum(_bd_circle(seq) for seq in circles)
+        return sum(_bd_circle(seq, stop_at) for seq in circles)
     return _mis(_adjacency_masks(pos), stop_at=stop_at)[0]
 
 
@@ -285,19 +295,29 @@ def boundary_degree(d):
 
 def _turns(seq):
     """Every rotation and reflection of one circle."""
+    return {b[r:] + b[:r] for b in (seq, seq[::-1]) for r in range(len(seq))} or {()}
+
+
+def _first_turns(seq):
+    """The turns of one circle whose first repeated token comes soonest:
+    those starting on an endpoint of a chord of least arc, along that arc."""
     if not seq:
         return {()}
-    out = set()
-    for base in (tuple(seq), tuple(reversed(seq))):
-        for r in range(len(base)):
-            out.add(base[r:] + base[:r])
+    n, first, ahead = len(seq), {}, [0] * len(seq)
+    for p, tok in enumerate(seq):
+        q = first.setdefault(tok, p)
+        ahead[q], ahead[p] = p - q, n - p + q
+    least, rev = min(ahead), seq[::-1]
+    out = {seq[r:] + seq[:r] for r in range(n) if ahead[r] == least}
+    out.update(rev[n - 1 - r:] + rev[:n - 1 - r] for r in range(n) if n - ahead[r] == least)
     return out
 
 
 def canonicalize(d):
     """Deterministic canonical form: lexicographically minimal labeling
     over circle permutations, rotations and reflections."""
-    turns = [_turns(seq) for seq in d.circles]
+    shared = {tok for tok, per in d._pos.items() if len(per) > 1}
+    turns = [_first_turns(seq) if shared.isdisjoint(seq) else _turns(seq) for seq in d.circles]
     # partial states: (circles used as a bitmask, tokens in label order)
     states = {(0, ())}
     rows = []

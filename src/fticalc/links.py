@@ -598,24 +598,28 @@ def seifert_congruent(a, b, bound):
     starts = itertools.accumulate(a.sizes, initial=0)
     spans = [(lo, lo + s) for lo, s in zip(starts, a.sizes) for _ in range(s)]
     cols = []  # per column q of P fixed so far: its block entries, A q, A^T q
+    untried = []  # per column 0..len(cols): the block entries not yet tried
 
     def dot(u, x):
         return sum(map(mul, u, x))
 
-    def search(k):
-        if k == len(spans):
-            return True
+    while len(cols) < len(spans):
+        k = len(cols)
         lo, hi = spans[k]
-        for x in itertools.product(range(-bound, bound + 1), repeat=hi - lo):
-            ap, atp = (tuple(dot(row[lo:hi], x) for row in t) for t in (m, mt))
-            cols.append((x, ap, atp))
-            # entries (j, k) and (k, j) of P^T A P are (A^T q_j).q_k and (A q_j).q_k
-            if (all(dot(atq[lo:hi], x) == want[j][k] and dot(aq[lo:hi], x) == want[k][j]
-                    for j, (_, aq, atq) in enumerate(cols))
-                    and (k + 1 < hi or abs(la.det([c[0] for c in cols[lo:]])) == 1)
-                    and search(k + 1)):
-                return True
+        if len(untried) == k:
+            untried.append(itertools.product(range(-bound, bound + 1), repeat=hi - lo))
+        x = next(untried[k], None)
+        if x is None:
+            untried.pop()
+            if not cols:
+                return False
             cols.pop()
-        return False
-
-    return search(0)
+            continue
+        ap, atp = (tuple(dot(row[lo:hi], x) for row in t) for t in (m, mt))
+        cols.append((x, ap, atp))
+        # entries (j, k) and (k, j) of P^T A P are (A^T q_j).q_k and (A q_j).q_k
+        if not (all(dot(atq[lo:hi], x) == want[j][k] and dot(aq[lo:hi], x) == want[k][j]
+                    for j, (_, aq, atq) in enumerate(cols))
+                and (k + 1 < hi or abs(la.det([c[0] for c in cols[lo:]])) == 1)):
+            cols.pop()
+    return True

@@ -10,6 +10,8 @@ from fticalc.chords import (
     DiagramSum,
     ReductionLimits,
     _adjacency_masks,
+    _bd_circle,
+    _bd_raw,
     _mis,
     boundary_degree,
     canonicalize,
@@ -113,6 +115,45 @@ def test_boundary_degree_matches_oracle():
     assert boundary_degree(d) == interval_oracle(d.circles[0])
 
 
+def perturbed_star(rng, n):
+    """A star of n chords with a few adjacent endpoints swapped, rotated."""
+    seq = list(range(n)) * 2
+    for _ in range(rng.randint(1, 4)):
+        p = rng.randrange(2 * n - 1)
+        seq[p], seq[p + 1] = seq[p + 1], seq[p]
+    r = rng.randrange(2 * n)
+    return tuple(seq[r:] + seq[:r])
+
+
+def test_bd_circle_stops_at_cap():
+    rng = random.Random(109)
+    cases = [random_single_circle(rng, rng.randint(0, 40)).circles[0] for _ in range(60)]
+    cases += [perturbed_star(rng, rng.randint(2, 40)) for _ in range(30)]
+    for seq in cases:
+        exact = interval_oracle(seq)
+        assert _bd_circle(seq) == exact
+        for cap in range(5):
+            assert _bd_circle(seq, cap) == min(exact, cap)
+    nested = tuple(range(500)) + tuple(reversed(range(500)))
+    star = tuple(range(500)) * 2
+    blocks = sum((tuple(range(s, s + 50)) * 2 for s in range(0, 500, 50)), ())
+    for seq, exact in ((nested, 500), (star, 1), (blocks, 10)):
+        for cap in (0, 1, 2, 3, 4, None):
+            assert _bd_circle(seq, cap) == (exact if cap is None else min(exact, cap))
+    # type I chords on 2-3 circles: the capped sum decides ">= stop_at" exactly
+    for _ in range(60):
+        circles = [[] for _ in range(rng.randint(2, 3))]
+        for cid in range(rng.randint(0, 12)):
+            circles[rng.randrange(len(circles))] += [cid, cid]
+        for seq in circles:
+            rng.shuffle(seq)
+        d = ChordDiagram(circles)
+        exact = oracle_mis(d)
+        for stop_at in range(5):
+            got = _bd_raw(d.circles, d._pos, stop_at)
+            assert got == exact if exact < stop_at else stop_at <= got <= exact
+
+
 def interval_oracle(seq):
     """Largest noncrossing chord set on one circle, recursing on the last
     slot of a closed interval [i, j]: it is unused, or its chord (k, j)
@@ -202,6 +243,33 @@ def test_canonicalize_matches_brute_force():
         canon = canonicalize(d)
         assert canon.circles == oracle_canonical(d)
         assert canon.marks == d.marks
+
+
+def test_canonicalize_first_turns_match_brute_force():
+    # a circle that shares no chord with another is placed only by the
+    # turns that start on a chord of least arc; ties included
+    rng = random.Random(127)
+    singles = []
+    for _ in range(6):
+        n = rng.randint(20, 60)
+        singles.append(tuple(range(n)) * 2)
+        singles.append(perturbed_star(rng, n))
+        singles.append(random_single_circle(rng, n).circles[0])
+        seq = list(random_single_circle(rng, n - 4).circles[0])
+        for cid in range(n - 4, n):  # isolated chords tie for the least arc
+            p = rng.randrange(len(seq) + 1)
+            seq[p:p] = [cid, cid]
+        singles.append(tuple(seq))
+    for seq in singles:
+        assert canonicalize(ChordDiagram([seq])).circles == oracle_canonical(ChordDiagram([seq]))
+    for _ in range(20):
+        circles = [[], []]
+        for cid in range(rng.randint(2, 14)):
+            circles[rng.randrange(2)] += [cid, cid]
+        for seq in circles:
+            rng.shuffle(seq)
+        d = ChordDiagram(circles, marks=rng.randint(0, 1))
+        assert canonicalize(d).circles == oracle_canonical(d)
 
 
 def test_pigeonhole_examples():
@@ -335,7 +403,7 @@ def test_four_term_quotient_dimensions():
     # every relation, since a move commutes with relabelling, rotation and
     # reflection; the classes also identify reflections, which act
     # trivially on A_n for these n.
-    for n, dim in enumerate((1, 1, 2, 3, 6, 10)):
+    for n, dim in enumerate((1, 1, 2, 3, 6, 10, 19)):
         basis = {d: i for i, d in enumerate(sorted(one_circle_classes(n),
                                                    key=lambda d: d.circles))}
         rows = []

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -366,6 +367,13 @@ def test_seifert_congruent_examples():
     assert not seifert_congruent(b, a, 2)
     with pytest.raises(ValueError):
         seifert_congruent(TREFOIL, UNKNOT, 1)
+
+
+def test_seifert_congruent_deeper_than_recursion_limit():
+    # one search level per column of P: more columns than Python frames
+    n = sys.getrecursionlimit() + 10
+    eye = SeifertMatrix((1,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    assert seifert_congruent(eye, eye, 1)
 
 
 def test_congruence_implies_equal_alexander():
