@@ -50,7 +50,7 @@ def scale(s, a):
 
 
 def new(cls, **fields):
-    """An instance of cls over collected terms, without re-running its key rule."""
+    """An instance of cls from fields already in normal form, skipping __init__."""
     out = object.__new__(cls)
     for name, value in fields.items():
         setattr(out, name, value)

@@ -31,9 +31,11 @@ by pigeonhole an arc pair between tower endpoints joined by >= level
 chords (the specials), sort the specials until pairwise disjoint. The
 tower is the set the branch-and-bound search returns, taken once per
 plan, so the term lists do not depend on the degree test. On
-several circles: uncross chords circle by circle. One move kernel serves
-four_term and the engine: the three main terms and, unless the move is a
-clean version 1 (both chords on the moving circle alone), the error pair.
+several circles: uncross chords circle by circle. One move kernel, _move,
+serves four_term and the engine: it finds the near fixed endpoint and
+the mover's side once, writes the three main terms and, unless the move
+is a clean version 1 (both chords on the moving circle alone), the error
+pair. One retirement test serves the entry checks and every level.
 
 The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
@@ -42,6 +44,9 @@ partial states (circles used, labels given) whose newest row is least.
 A circle sharing no chord with another meets no labelled token, so its
 rows count up to a first, smaller, repeat: only the turns that start on
 a chord of least arc and run along it can be least, and only they are tried.
+The winning rows are already labelled by first appearance and carry the
+chords of a validated diagram, so the result is built without a second
+relabelling or validation.
 
 Diagram text format:
 
@@ -337,7 +342,8 @@ def canonicalize(d):
                         kept.add((used | 1 << i, tuple(relabel)))
         rows.append(best)
         states = kept
-    return ChordDiagram(rows, d.marks)
+    rows = tuple(rows)
+    return lc.new(ChordDiagram, circles=rows, marks=d.marks, _pos=_positions(rows))
 
 
 class DiagramSum:
@@ -388,68 +394,36 @@ def pigeonhole_ok(m, c):
 
 # -- 4-term move mechanics on raw circle lists ------------------------------
 
-def _relocate(seq, src, dst, after):
-    """Move the token at src next to the token currently at dst."""
-    seq = list(seq)
-    tok = seq.pop(src)
-    if dst > src:
-        dst -= 1
-    seq.insert(dst + 1 if after else dst, tok)
-    return tuple(seq)
-
-
-def _hop_main_terms(circles, circ, m_pos, fa_pos, fb_pos):
-    """The three main 4-term diagrams: (circles, sign) triples.
-
-    The moving token flips to the other side of the near fixed endpoint
-    (+1), lands on its new side of the far endpoint (+1), and on its old
-    side of the far endpoint (-1).
-    """
-    seq = circles[circ]
-    n = len(seq)
-    if (fa_pos + 1) % n == m_pos:
-        was_after = True
-    elif (m_pos + 1) % n == fa_pos:
-        was_after = False
-    else:
-        raise ValueError("moving endpoint is not adjacent to the fixed endpoint")
-    out = []
-    for new_seq, sign in (
-        (_relocate(seq, m_pos, fa_pos, after=not was_after), 1),
-        (_relocate(seq, m_pos, fb_pos, after=not was_after), 1),
-        (_relocate(seq, m_pos, fb_pos, after=was_after), -1),
-    ):
-        new_circles = list(circles)
-        new_circles[circ] = new_seq
-        out.append((tuple(new_circles), sign))
-    return out
-
-
-def _remove_chord(circles, cid):
-    return tuple(
-        tuple(tok for tok in seq if tok != cid) for seq in circles
-    )
-
-
 def _move(circles, pos, circ, m_pos, fixed):
     """One 4-term move of the endpoint at circles[circ][m_pos] across the
     fixed chord, as (circles, added marks, sign) triples.
 
-    pos is the position map of circles. The three main terms come first;
-    unless both chords lie on the moving circle alone (a clean version
-    1), the error pair follows: the moving chord removed, one marker, +1,
-    and the same with an inert extra circle, -1.
+    pos is the position map of circles. The near fixed endpoint is the
+    one next to the mover, the lower slot if both are. The mover flips to
+    the other side of it (+1), lands on its new side of the far endpoint
+    (+1), and on its old side of the far endpoint (-1). Unless both chords
+    lie on the moving circle alone (a clean version 1), the error pair
+    follows: the moving chord removed, one marker, +1, and the same with an
+    inert extra circle, -1.
     """
+    seq = circles[circ]
+    n = len(seq)
     fpos = pos[fixed][circ]
-    n = len(circles[circ])
-    fa = next((p for p in fpos if (p + 1) % n == m_pos or (m_pos + 1) % n == p), None)
-    if fa is None:
+    for near, far in (fpos, fpos[::-1]):
+        after = (near + 1) % n == m_pos
+        if after or (m_pos + 1) % n == near:
+            break
+    else:
         raise ValueError("moving endpoint is not adjacent to the fixed chord")
-    fb = fpos[0] if fa == fpos[1] else fpos[1]
-    out = [(new, 0, sign) for new, sign in _hop_main_terms(circles, circ, m_pos, fa, fb)]
-    mover = circles[circ][m_pos]
+    mover, rest = seq[m_pos], seq[:m_pos] + seq[m_pos + 1:]
+    out = []
+    for dst, side, sign in ((near, not after, 1), (far, not after, 1), (far, after, -1)):
+        at = dst - (dst > m_pos) + side
+        new = list(circles)
+        new[circ] = rest[:at] + (mover,) + rest[at:]
+        out.append((tuple(new), 0, sign))
     if len(pos[fixed]) > 1 or len(pos[mover]) > 1:
-        stripped = _remove_chord(circles, mover)
+        stripped = tuple(tuple(tok for tok in s if tok != mover) for s in circles)
         out += [(stripped, 1, 1), (stripped + ((),), 1, -1)]
     return out
 
@@ -569,9 +543,14 @@ def _next_move(circles, pos, plan, level):
     return (0, prev, want, plan)  # bump the blocking nonspecial rightwards past `want`
 
 
-def _reduce(terms, m, level, next_move, max_steps):
-    """Rewrite terms {(circles, marks): coeff} until every term has
-    boundary degree >= level or >= m marks; the result has the same form.
+def _retired(circles, pos, marks, m, level):
+    """Whether a term leaves the rewriting: >= m marks or degree >= level."""
+    return marks >= m or _bd_raw(circles, pos, stop_at=level) >= level
+
+
+def _reduce(d, m, levels, next_move, max_steps):
+    """Rewrite d, for each level in turn, until every term is _retired at
+    that level; the result is the DiagramSum of the last level's terms.
 
     The frontier is keyed on the exact state (circles, marks, plan), so
     the paths that reach a state before it is taken have their
@@ -582,39 +561,41 @@ def _reduce(terms, m, level, next_move, max_steps):
     applies, so by linearity neither the merging nor the order changes
     the sum. max_steps bounds the number of expansions.
     """
-    frontier = {(circles, marks, None): co for (circles, marks), co in terms.items()}
-    done = {}
+    done = {(d.circles, d.marks): 1}
     steps = 0
-    while frontier:
-        key = next(iter(frontier))
-        coeff = frontier.pop(key)
-        if not coeff:
-            continue
-        circles, marks, plan = key
-        pos = _positions(circles)
-        if marks >= m or _bd_raw(circles, pos, stop_at=level) >= level:
-            done[circles, marks] = done.get((circles, marks), 0) + coeff
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                "reduction exceeded the step budget; instance is beyond the "
-                "implemented desk-scale strategy"
-            )
-        move = next_move(circles, pos, plan, level)
-        if move is None:
-            # all chords pairwise noncrossing yet fewer than `level` of them;
-            # unreachable when the chord-count precondition holds
-            raise RuntimeError(
-                "stuck term with %d noncrossing chords and %d marks; "
-                "instance violates the chord-count precondition"
-                % (len(pos), marks)
-            )
-        circ, m_pos, fixed, plan = move
-        for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
-            child = (new_circles, marks + added, plan)
-            frontier[child] = frontier.get(child, 0) + sign * coeff
-    return done
+    for level in levels:
+        frontier = {(circles, marks, None): co for (circles, marks), co in done.items()}
+        done = {}
+        while frontier:
+            key = next(iter(frontier))
+            coeff = frontier.pop(key)
+            if not coeff:
+                continue
+            circles, marks, plan = key
+            pos = _positions(circles)
+            if _retired(circles, pos, marks, m, level):
+                done[circles, marks] = done.get((circles, marks), 0) + coeff
+                continue
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError(
+                    "reduction exceeded the step budget; instance is beyond the "
+                    "implemented desk-scale strategy"
+                )
+            move = next_move(circles, pos, plan, level)
+            if move is None:
+                # all chords pairwise noncrossing yet fewer than `level` of them;
+                # unreachable when the chord-count precondition holds
+                raise RuntimeError(
+                    "stuck term with %d noncrossing chords and %d marks; "
+                    "instance violates the chord-count precondition"
+                    % (len(pos), marks)
+                )
+            circ, m_pos, fixed, plan = move
+            for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
+                child = (new_circles, marks + added, plan)
+                frontier[child] = frontier.get(child, 0) + sign * coeff
+    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in done.items())
 
 
 def tower_reduce(d, m, c=2):
@@ -629,7 +610,7 @@ def tower_reduce(d, m, c=2):
         raise ValueError("m must be a positive integer")
     if len(d.circles) != 1:
         raise ValueError("tower_reduce expects a single-circle diagram")
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, d._pos, stop_at=m) >= m:
+    if _retired(d.circles, d._pos, d.marks, m, m):
         return DiagramSum({d: 1})
     if not pigeonhole_ok(m, c):
         raise ValueError("constant c=%d fails the pigeonhole bound for m=%d" % (c, m))
@@ -637,10 +618,7 @@ def tower_reduce(d, m, c=2):
         raise ValueError(
             "need at least c*m^3 = %d chords, have %d" % (c * m ** 3, d.chord_count)
         )
-    terms = {(d.circles, d.marks): 1}
-    for level in range(2, m + 1):
-        terms = _reduce(terms, m, level, _next_move, inf)
-    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in terms.items())
+    return _reduce(d, m, range(2, m + 1), _next_move, inf)
 
 
 # -- multi-circle reduction --------------------------------------------------
@@ -703,13 +681,12 @@ def multi_tower_reduce(d, m, limits=None):
         raise ValueError("m must be a positive integer")
     if limits is None:
         limits = ReductionLimits()
-    if d.marks >= m or (d.chord_count and m == 1) or _bd_raw(d.circles, d._pos, stop_at=m) >= m:
-        return DiagramSum({d: 1})
     if len(d.circles) == 1:
         return tower_reduce(d, m, c=limits.c)
+    if _retired(d.circles, d._pos, d.marks, m, m):
+        return DiagramSum({d: 1})
     if d.chord_count < limits.h(m):
         raise ValueError(
             "need at least h(m) = %d chords, have %d" % (limits.h(m), d.chord_count)
         )
-    terms = _reduce({(d.circles, d.marks): 1}, m, m, _find_multi_move, limits.max_steps)
-    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in terms.items())
+    return _reduce(d, m, (m,), _find_multi_move, limits.max_steps)

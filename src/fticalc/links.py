@@ -410,10 +410,6 @@ class SeifertMatrix:
         entries = tuple(tuple(row) for row in entries)
         return cls((len(entries),), entries)
 
-    @property
-    def total(self):
-        return sum(self.sizes)
-
     def block(self, i, j):
         starts = [0]
         for s in self.sizes:
@@ -519,17 +515,18 @@ class LaurentPoly:
 
 
 def _interpolate(values):
-    """Coefficients, lowest first, of the polynomial of degree < len(values)
-    taking values[t] at t = 0, 1, ... (Newton divided differences)."""
-    c = [Fraction(v) for v in values]
+    """Coefficients, lowest first, of the integer polynomial of degree
+    < len(values) taking values[t] at t = 0, 1, ... (Newton divided
+    differences; at integer nodes each one is an integer, so // is exact)."""
+    c = list(values)
     n = len(c)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / k
+            c[i] = (c[i] - c[i - 1]) // k
     # Horner on the Newton form c[0] + (t - 0)(c[1] + (t - 1)(c[2] + ...))
-    poly = [Fraction(0)] * n
+    poly = [0] * n
     for k in range(n - 1, -1, -1):
-        poly = [a - k * b for a, b in zip([Fraction(0)] + poly[:-1], poly)]
+        poly = [a - k * b for a, b in zip([0] + poly[:-1], poly)]
         poly[0] += c[k]
     return poly
 
@@ -540,29 +537,20 @@ def alexander(a):
     Delta(t) = det(t^(1/2) A - t^(-1/2) A^T), symmetric in t <-> 1/t and
     normalized so Delta(1) = 1. Raises for a degenerate block, i.e. when
     A - A^T is not unimodular. det(t A - A^T) has degree <= n, so it is
-    interpolated from its integer values at t = 0..n.
+    interpolated from its integer values at t = 0..max(n, 1); the value at
+    t = 1 is det(A - A^T), which is also Delta(1) before normalizing.
     """
     if not a.is_knot_block():
         raise ValueError("alexander is defined for a single knot block")
     m = a.entries
     n = len(m)
-    skew = tuple(
-        tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n)
-    )
-    if abs(la.det(skew)) != 1:
-        raise ValueError("degenerate block: A - A^T is not unimodular")
     values = [
         la.det(tuple(tuple(t * m[i][j] - m[j][i] for j in range(n)) for i in range(n)))
-        for t in range(n + 1)
+        for t in range(max(n, 1) + 1)
     ]
-    coeffs = _interpolate(values)
-    raw = LaurentPoly({k - n // 2: int(c) for k, c in enumerate(coeffs)})
-    at_one = raw(1)
-    if at_one == -1:
-        raw = -1 * raw
-    elif at_one != 1:
-        raise ValueError("degenerate block: Delta(1) is not a unit")
-    return raw
+    if abs(values[1]) != 1:
+        raise ValueError("degenerate block: A - A^T is not unimodular")
+    return LaurentPoly({k - n // 2: values[1] * c for k, c in enumerate(_interpolate(values))})
 
 
 def phi(a):

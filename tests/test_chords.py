@@ -13,6 +13,7 @@ from fticalc.chords import (
     _bd_circle,
     _bd_raw,
     _mis,
+    _move,
     boundary_degree,
     canonicalize,
     chords_intersect,
@@ -272,6 +273,20 @@ def test_canonicalize_first_turns_match_brute_force():
         assert canonicalize(d).circles == oracle_canonical(d)
 
 
+def test_canonicalize_builds_a_valid_diagram():
+    # canonicalize skips ChordDiagram.__init__; its result must be the one
+    # the constructor builds from the same rows
+    rng = random.Random(131)
+    diagrams = [ChordDiagram([perturbed_star(rng, rng.randint(3, 30))]) for _ in range(20)]
+    diagrams += [ChordDiagram([tuple(range(n)) * 2], marks=n % 3) for n in range(6)]
+    diagrams += [random_diagram(rng) for _ in range(200)]
+    assert any(len(per) > 1 for d in diagrams for per in d._pos.values())
+    for d in diagrams:
+        c = canonicalize(d)
+        built = ChordDiagram(c.circles, c.marks)
+        assert (c.circles, c.marks, c._pos) == (built.circles, built.marks, built._pos)
+
+
 def test_pigeonhole_examples():
     assert pigeonhole_ok(1, 2)
     assert pigeonhole_ok(10, 2)
@@ -300,12 +315,34 @@ def test_four_term_two_chord_collapse():
 def test_four_term_hop_inverts():
     # applying the move and then hopping back telescopes exactly
     base = ChordDiagram([(0, 1, 2, 0, 3, 1, 2, 3)])
-    from fticalc.chords import _hop_main_terms
-
-    hopped = ChordDiagram(_hop_main_terms(base.circles, 0, 4, 3, 0)[0][0])
+    hopped = ChordDiagram(_move(base.circles, base._pos, 0, 4, 0)[0][0])
     s1 = four_term(base, 0, (0, 4), 1)
     s2 = four_term(hopped, 0, (0, 3), 1)
     assert s1 + s2 == DiagramSum({base: 1}) + DiagramSum({hopped: 1})
+
+
+def test_move_near_endpoint_is_the_lower_slot():
+    # the mover (chord 1, slot 1) touches both endpoints of chord 0 (slots
+    # 0 and 2); slot 0 is the near endpoint and the mover sits after it
+    circles = ((0, 1, 0, 2, 1, 2),)
+    assert _move(circles, ChordDiagram(circles)._pos, 0, 1, 0) == [
+        (((1, 0, 0, 2, 1, 2),), 0, 1),
+        (((0, 1, 0, 2, 1, 2),), 0, 1),
+        (((0, 0, 1, 2, 1, 2),), 0, -1),
+    ]
+
+
+def test_move_version_two_error_pair():
+    # chord 0 (type I) moves across chord 1 (type II, slots 1 and 4); the
+    # mover sits before its near endpoint, slot 1
+    circles = ((0, 1, 2, 0, 1, 2), (1, 1))
+    assert _move(circles, ChordDiagram(circles)._pos, 0, 0, 1) == [
+        (((1, 0, 2, 0, 1, 2), (1, 1)), 0, 1),
+        (((1, 2, 0, 1, 0, 2), (1, 1)), 0, 1),
+        (((1, 2, 0, 0, 1, 2), (1, 1)), 0, -1),
+        (((1, 2, 1, 2), (1, 1)), 1, 1),
+        (((1, 2, 1, 2), (1, 1), ()), 1, -1),
+    ]
 
 
 def test_four_term_v2_marks():

@@ -26,3 +26,6 @@ def test_traced_names_resolve():
                 assert tracer.OPERATORS[op] in vars(obj), "%s.%s" % (layer, name)
             else:
                 assert callable(obj), "%s.%s" % (layer, name)
+            if isinstance(obj, type):
+                # Tracer.install reads the constructor from the class's own __dict__
+                assert "__init__" in vars(obj), "%s.%s.__init__ is inherited" % (layer, cls_name)
