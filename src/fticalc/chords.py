@@ -41,9 +41,18 @@ The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
 per circle, so it is built row by row, keeping at each depth only the
 partial states (circles used, labels given) whose newest row is least.
-A circle sharing no chord with another meets no labelled token, so its
-rows count up to a first, smaller, repeat: only the turns that start on
-a chord of least arc and run along it can be least, and only they are tried.
+Three rules cut the rows tried from a state without losing the least:
+- Empty circles go first, once: the row () is a prefix of every row.
+- Forced circle: if an unused circle holds a labelled token, the next
+  row starts on the least such label, since a fresh token would get a
+  larger number. Only a type II chord with one circle used and one not
+  is labelled there, so that token sits on one unused circle, at two
+  slots; only the turns that start at them, either way, are tried.
+- Fresh start: otherwise every token of every unused circle is fresh,
+  and a row counts up to its first repeat, so the turns whose first
+  repeat comes soonest are least: those that start on a chord of least
+  arc and run along it. Every chord has exactly two endpoints on each
+  circle it meets, so this holds for circles with type II chords too.
 The winning rows are already labelled by first appearance and carry the
 chords of a validated diagram, so the result is built without a second
 relabelling or validation.
@@ -298,48 +307,71 @@ def boundary_degree(d):
     return _bd_raw(d.circles, d._pos)
 
 
-def _turns(seq):
-    """Every rotation and reflection of one circle."""
-    return {b[r:] + b[:r] for b in (seq, seq[::-1]) for r in range(len(seq))} or {()}
+def _turns_at(seq, forward, backward):
+    """The turns of one circle that start at a slot in forward and run
+    forward, or start at a slot in backward and run backward."""
+    n, twice = len(seq), seq + seq
+    back, out = twice[::-1], set()
+    for r in forward:
+        out.add(twice[r:r + n])
+    for r in backward:
+        out.add(back[n - 1 - r:2 * n - 1 - r])
+    return out
 
 
 def _first_turns(seq):
-    """The turns of one circle whose first repeated token comes soonest:
-    those starting on an endpoint of a chord of least arc, along that arc."""
-    if not seq:
-        return {()}
+    """The turns of a nonempty circle whose first repeated token comes
+    soonest: those starting on an endpoint of a chord of least arc, along
+    that arc."""
     n, first, ahead = len(seq), {}, [0] * len(seq)
     for p, tok in enumerate(seq):
         q = first.setdefault(tok, p)
         ahead[q], ahead[p] = p - q, n - p + q
-    least, rev = min(ahead), seq[::-1]
-    out = {seq[r:] + seq[:r] for r in range(n) if ahead[r] == least}
-    out.update(rev[n - 1 - r:] + rev[:n - 1 - r] for r in range(n) if n - ahead[r] == least)
-    return out
+    least = min(ahead)
+    return _turns_at(seq, [r for r in range(n) if ahead[r] == least],
+                     [r for r in range(n) if n - ahead[r] == least])
+
+
+def _next_turns(circles, pos, fresh, used, label):
+    """(circle, turns) pairs that can give the least next row from a
+    canonicalize state: the turns from the two slots of the least labelled
+    token on an unused circle, else the first turns of every unused circle."""
+    for tok in label:
+        for i, ps in pos[tok].items():
+            if not used >> i & 1:
+                return ((i, _turns_at(circles[i], ps, ps)),)
+    return [(i, turns) for i, turns in fresh.items() if not used >> i & 1]
 
 
 def canonicalize(d):
     """Deterministic canonical form: lexicographically minimal labeling
-    over circle permutations, rotations and reflections."""
-    shared = {tok for tok, per in d._pos.items() if len(per) > 1}
-    turns = [_first_turns(seq) if shared.isdisjoint(seq) else _turns(seq) for seq in d.circles]
-    # partial states: (circles used as a bitmask, tokens in label order)
-    states = {(0, ())}
-    rows = []
-    for _ in turns:
-        best, kept = None, set()
-        for used, order in states:
-            label = {tok: n for n, tok in enumerate(order)}
-            for i, variants in enumerate(turns):
-                if used >> i & 1:
-                    continue
-                for seq in variants:
+    over circle permutations, rotations and reflections.
+
+    Rows are chosen one at a time from partial states (circles used,
+    labels given), keeping the states whose newest row is least; each
+    rule below keeps that least row. Empty circles come first. If an
+    unused circle holds a labelled token, the row must start on the least
+    such label (a fresh token would number higher), at one of its two
+    slots on that circle, running either way. Otherwise every unused
+    token is fresh, so the rows that repeat a token soonest win: the
+    first turns of every unused circle."""
+    circles, pos = d.circles, d._pos
+    empty = [i for i, seq in enumerate(circles) if not seq]
+    rows = [()] * len(empty)
+    fresh = {i: _first_turns(seq) for i, seq in enumerate(circles) if seq}
+    # partial states: (circles used as a bitmask, tokens in label order) -> labels
+    states = {(sum(1 << i for i in empty), ()): {}}
+    for _ in fresh:
+        best, kept = None, {}
+        for (used, _order), label in states.items():
+            for i, turns in _next_turns(circles, pos, fresh, used, label):
+                for seq in turns:
                     relabel = label.copy()
                     row = tuple([relabel.setdefault(tok, len(relabel)) for tok in seq])
                     if best is None or row < best:
-                        best, kept = row, set()
+                        best, kept = row, {}
                     if row == best:
-                        kept.add((used | 1 << i, tuple(relabel)))
+                        kept[used | 1 << i, tuple(relabel)] = relabel
         rows.append(best)
         states = kept
     rows = tuple(rows)

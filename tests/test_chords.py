@@ -202,14 +202,15 @@ def test_canonicalize_properties():
 
 def oracle_canonical(d):
     """Every circle order x every rotation/reflection of each circle,
-    relabelled by first appearance; the least of them."""
+    relabelled by first appearance; the least of them. Equal circles and
+    equal turns are tried once, which leaves the minimum as it is."""
     def turns(seq):
         if not seq:
-            return [()]
-        return [b[r:] + b[:r] for b in (seq, seq[::-1]) for r in range(len(seq))]
+            return {()}
+        return {b[r:] + b[:r] for b in (seq, seq[::-1]) for r in range(len(seq))}
 
     best = None
-    for order in permutations(d.circles):
+    for order in set(permutations(d.circles)):
         for choice in product(*(turns(seq) for seq in order)):
             label = {}
             cand = tuple(
@@ -221,13 +222,14 @@ def oracle_canonical(d):
 
 
 def random_diagram(rng):
-    """1-4 circles, up to two of them empty, type I and type II chords, marks."""
-    k = rng.randint(1, 4)
+    """1-5 circles, up to two of them empty, up to three type II chords,
+    type I chords, marks."""
+    k = rng.randint(1, 5)
     empty = rng.sample(range(k), rng.randint(0, min(2, k - 1)))
     live = [c for c in range(k) if c not in empty]
     circles = [[] for _ in range(k)]
-    ntype2 = rng.randint(0, 2) if len(live) >= 2 else 0
-    for cid in range(rng.randint(0 if ntype2 else 1, 5 - 2 * ntype2)):
+    ntype2 = rng.randint(0, 3) if len(live) >= 2 else 0
+    for cid in range(rng.randint(0 if ntype2 else 1, max(0, 5 - 2 * ntype2))):
         circles[rng.choice(live)] += [cid, cid]
     for cid in range(10, 10 + ntype2):
         for c in rng.sample(live, 2):
@@ -237,13 +239,56 @@ def random_diagram(rng):
     return ChordDiagram(circles, marks=rng.randint(0, 2))
 
 
+def isomorphic_copy(rng, d):
+    """d with its circles shuffled, its chords relabelled and each circle
+    rotated or reflected."""
+    names = rng.sample(range(100, 100 + 3 * d.chord_count), d.chord_count)
+    circles = []
+    for seq in d.circles:
+        seq = [names[tok] for tok in seq]
+        if rng.random() < 0.5:
+            seq.reverse()
+        r = rng.randrange(len(seq)) if seq else 0
+        circles.append(seq[r:] + seq[:r])
+    rng.shuffle(circles)
+    return ChordDiagram(circles, marks=d.marks)
+
+
 def test_canonicalize_matches_brute_force():
     rng = random.Random(113)
-    for _ in range(300):
-        d = random_diagram(rng)
+    diagrams = [random_diagram(rng) for _ in range(300)]
+    assert max(len(d.circles) for d in diagrams) == 5
+    assert any(sum(len(per) > 1 for per in d._pos.values()) == 3 for d in diagrams)
+    for d in diagrams:
         canon = canonicalize(d)
         assert canon.circles == oracle_canonical(d)
         assert canon.marks == d.marks
+
+
+def test_canonicalize_reduction_outputs_match_brute_force():
+    # the terms multi_tower_reduce emits: one circle of type II chords, a
+    # (k, k) circle for each of them and the empty circles that moves leave
+    rng = random.Random(139)
+    base = (0, 1, 2, 3, 0, 1, 2, 3)
+    terms = []
+    for _ in range(6):
+        seq = base[::-1] if rng.random() < 0.5 else base
+        r = rng.randrange(len(seq))
+        d = ChordDiagram([seq[r:] + seq[:r]] + [(i, i) for i in range(4)])
+        terms += multi_tower_reduce(d, 2, ReductionLimits(c=0)).terms
+    assert {len(t.circles) for t in terms} == {5, 6, 7}
+    assert {1, 2, 3} <= {t.circles.count(()) for t in terms}
+    assert all(sum(len(seq) == 2 for seq in t.circles) >= 2 for t in terms)
+    for t in terms:
+        copy = isomorphic_copy(rng, t)
+        assert canonicalize(copy).circles == oracle_canonical(copy)
+
+
+def test_canonicalize_is_invariant():
+    rng = random.Random(149)
+    for _ in range(500):
+        d = random_diagram(rng)
+        assert canonicalize(isomorphic_copy(rng, d)) == canonicalize(d)
 
 
 def test_canonicalize_first_turns_match_brute_force():

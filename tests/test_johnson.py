@@ -263,3 +263,20 @@ def test_lbar_element_moves_h_into_l():
             m = la.mat_mul(la.mat_mul(q.entries, lam.matrix.entries), q.inverse().entries)
             for mu in (lam, LbarElement(lat, moved, SpMatrix(lat, m))):
                 assert all(mu.l.contains(mu.delta(e)) for e in la.identity(lat.dim))
+
+
+def test_from_symmetric_matches_checked_constructor():
+    # from_symmetric skips the checks that hold by construction; the
+    # checked constructor accepts the same matrix and L
+    rng = random.Random(137)
+    for g in range(1, 7):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            c = random_symmetric(rng, g)
+            lam = LbarElement.from_symmetric(lat, c)
+            checked = LbarElement(lat, lat.standard_lplus(), SpMatrix.upper_unitriangular(lat, c))
+            assert lam.matrix == checked.matrix
+            assert lam.l.basis == checked.l.basis
+    lat = SymplecticLattice(2)
+    with pytest.raises(ValueError, match="symmetric"):
+        LbarElement.from_symmetric(lat, ((1, 2), (0, 1)))
