@@ -3,13 +3,13 @@ reduction.
 
 A diagram is a set of circles, each carrying a cyclic sequence of chord
 endpoints, plus a count of accumulated blink error markers. Chords are
-type I (two endpoints) or type II (four endpoints, two on each of two
-distinct circles). Two chords intersect when some circle carries two
-endpoints of each in interleaved (1212) cyclic order; the boundary
-degree is the size of a largest pairwise-nonintersecting chord set: an
-O(N * bd) interval DP per circle, which a retirement test stops at its
-level, when every chord is type I, otherwise a branch-and-bound search
-on the crossing graph.
+type I (two endpoints, on one circle or one on each of two) or type II
+(four endpoints, two on each of two distinct circles). Two chords
+intersect when some circle carries two endpoints of each in interleaved
+(1212) cyclic order; the boundary degree is the size of a largest
+pairwise-nonintersecting chord set: an O(N * bd) interval DP per circle,
+which a retirement test stops at its level, when every chord is type I,
+otherwise a branch-and-bound search on the crossing graph.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -45,14 +45,15 @@ Three rules cut the rows tried from a state without losing the least:
 - Empty circles go first, once: the row () is a prefix of every row.
 - Forced circle: if an unused circle holds a labelled token, the next
   row starts on the least such label, since a fresh token would get a
-  larger number. Only a type II chord with one circle used and one not
-  is labelled there, so that token sits on one unused circle, at two
-  slots; only the turns that start at them, either way, are tried.
+  larger number. A chord labelled there also meets a used circle, so
+  that token sits on one unused circle, at one or two slots; only the
+  turns that start at them, either way, are tried.
 - Fresh start: otherwise every token of every unused circle is fresh,
   and a row counts up to its first repeat, so the turns whose first
   repeat comes soonest are least: those that start on a chord of least
-  arc and run along it. Every chord has exactly two endpoints on each
-  circle it meets, so this holds for circles with type II chords too.
+  arc and run along it. A token whose chord ends on another circle never
+  repeats in the row, so on a circle where no token repeats every turn
+  reads the same and all of them are tried.
 The winning rows are already labelled by first appearance and carry the
 chords of a validated diagram, so the result is built without a second
 relabelling or validation.
@@ -322,19 +323,22 @@ def _turns_at(seq, forward, backward):
 def _first_turns(seq):
     """The turns of a nonempty circle whose first repeated token comes
     soonest: those starting on an endpoint of a chord of least arc, along
-    that arc."""
+    that arc. With no token twice on the circle (only chords that end on
+    other circles), every turn reads fresh to the end: all of them."""
     n, first, ahead = len(seq), {}, [0] * len(seq)
     for p, tok in enumerate(seq):
         q = first.setdefault(tok, p)
         ahead[q], ahead[p] = p - q, n - p + q
     least = min(ahead)
+    if least == n:
+        return _turns_at(seq, range(n), range(n))
     return _turns_at(seq, [r for r in range(n) if ahead[r] == least],
                      [r for r in range(n) if n - ahead[r] == least])
 
 
 def _next_turns(circles, pos, fresh, used, label):
     """(circle, turns) pairs that can give the least next row from a
-    canonicalize state: the turns from the two slots of the least labelled
+    canonicalize state: the turns from the slots of the least labelled
     token on an unused circle, else the first turns of every unused circle."""
     for tok in label:
         for i, ps in pos[tok].items():
@@ -351,10 +355,10 @@ def canonicalize(d):
     labels given), keeping the states whose newest row is least; each
     rule below keeps that least row. Empty circles come first. If an
     unused circle holds a labelled token, the row must start on the least
-    such label (a fresh token would number higher), at one of its two
-    slots on that circle, running either way. Otherwise every unused
-    token is fresh, so the rows that repeat a token soonest win: the
-    first turns of every unused circle."""
+    such label (a fresh token would number higher), at one of its slots
+    on that circle, running either way. Otherwise every unused token is
+    fresh, so the rows that repeat a token soonest win: the first turns
+    of every unused circle, or all its turns if no token repeats on it."""
     circles, pos = d.circles, d._pos
     empty = [i for i, seq in enumerate(circles) if not seq]
     rows = [()] * len(empty)

@@ -23,6 +23,7 @@ among a, i, j. So the level of x is read off its support in that basis.
 from itertools import combinations
 
 from . import _intlinalg as la
+from . import _lincomb as lc
 from .exterior import (
     MultiVector,
     _sum_products,
@@ -39,15 +40,14 @@ class LbarElement:
     """A symplectic matrix equal to the identity on a Lagrangian L,
     with (matrix - I) H contained in L."""
 
-    def __init__(self, lat, l, matrix, _check=True):
-        if _check:
-            if not isinstance(matrix, SpMatrix) or matrix.lat != lat or l.lat != lat:
-                raise ValueError("mismatched ambient lattice")
-            if not l.is_lagrangian():
-                raise ValueError("L must be a Lagrangian")
-            for v in l.basis:
-                if matrix.apply(v) != v:
-                    raise ValueError("matrix must fix L pointwise")
+    def __init__(self, lat, l, matrix):
+        if not isinstance(matrix, SpMatrix) or matrix.lat != lat or l.lat != lat:
+            raise ValueError("mismatched ambient lattice")
+        if not l.is_lagrangian():
+            raise ValueError("L must be a Lagrangian")
+        for v in l.basis:
+            if matrix.apply(v) != v:
+                raise ValueError("matrix must fix L pointwise")
         # That puts (M - I) H in L: for x in L, <x, (M - I)y> = <Mx, My> -
         # <x, y> = 0 as M is symplectic and fixes x, and L^perp = L for a
         # saturated Lagrangian L.
@@ -59,11 +59,12 @@ class LbarElement:
     def from_symmetric(cls, lat, c):
         """[[I, C], [0, I]] for symmetric C, fixing L = span(e).
 
-        The checks hold by construction: the matrix fixes every e_i and
-        span(e) is a Lagrangian, so they are skipped; a non-symmetric C
-        still raises in upper_unitriangular."""
+        The checks of __init__ hold by construction: the matrix fixes
+        every e_i and span(e) is a Lagrangian, so the element is built
+        without them; a non-symmetric C still raises in
+        upper_unitriangular."""
         m = SpMatrix.upper_unitriangular(lat, c)
-        return cls(lat, lat.standard_lplus(), m, _check=False)
+        return lc.new(cls, lat=lat, l=lat.standard_lplus(), matrix=m)
 
     def delta(self, v):
         """(matrix - I) applied to a coordinate vector."""

@@ -223,17 +223,22 @@ def oracle_canonical(d):
 
 def random_diagram(rng):
     """1-5 circles, up to two of them empty, up to three type II chords,
-    type I chords, marks."""
+    up to two type I chords with one endpoint on each of two circles,
+    other type I chords, marks."""
     k = rng.randint(1, 5)
     empty = rng.sample(range(k), rng.randint(0, min(2, k - 1)))
     live = [c for c in range(k) if c not in empty]
     circles = [[] for _ in range(k)]
     ntype2 = rng.randint(0, 3) if len(live) >= 2 else 0
-    for cid in range(rng.randint(0 if ntype2 else 1, max(0, 5 - 2 * ntype2))):
+    nspan = rng.randint(0, 2) if len(live) >= 2 else 0
+    for cid in range(rng.randint(0 if ntype2 or nspan else 1, max(0, 5 - 2 * ntype2 - nspan))):
         circles[rng.choice(live)] += [cid, cid]
     for cid in range(10, 10 + ntype2):
         for c in rng.sample(live, 2):
             circles[c] += [cid, cid]
+    for cid in range(20, 20 + nspan):
+        for c in rng.sample(live, 2):
+            circles[c].append(cid)
     for seq in circles:
         rng.shuffle(seq)
     return ChordDiagram(circles, marks=rng.randint(0, 2))
@@ -259,10 +264,44 @@ def test_canonicalize_matches_brute_force():
     diagrams = [random_diagram(rng) for _ in range(300)]
     assert max(len(d.circles) for d in diagrams) == 5
     assert any(sum(len(per) > 1 for per in d._pos.values()) == 3 for d in diagrams)
+    assert any(sum(len(ps) == 1 for per in d._pos.values() for ps in per.values()) == 4
+               for d in diagrams)
+    # a nonempty circle on which no token repeats
+    assert any(seq and len(set(seq)) == len(seq) for d in diagrams for seq in d.circles)
     for d in diagrams:
         canon = canonicalize(d)
         assert canon.circles == oracle_canonical(d)
         assert canon.marks == d.marks
+
+
+def test_canonicalize_circles_without_a_repeated_token():
+    # every chord on the first circle ends on the second, so no turn of the
+    # first repeats a token and all of them are tried, reflections included
+    d = ChordDiagram([(0, 1, 2), (0, 1, 2, 3, 4, 5, 3, 6, 5, 7, 4, 6, 7)])
+    assert canonicalize(d).circles == oracle_canonical(d)
+    assert canonicalize(d).circles[1] == (0, 1, 2, 3, 4, 5, 3, 6, 4, 7, 6, 5, 7)
+    flipped = ChordDiagram([(2, 1, 0), d.circles[1]])
+    assert canonicalize(flipped) == canonicalize(d)
+    # the same shape at random: each chord on the second circle spans at
+    # least as many slots as the first circle has, so the first goes first
+    def least_arc(seq):
+        slots = {}
+        for p, tok in enumerate(seq):
+            slots.setdefault(tok, []).append(p)
+        return min(min(q - p, len(seq) - q + p) for p, q in
+                   (ps for ps in slots.values() if len(ps) == 2))
+
+    rng = random.Random(151)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        a, b = list(range(n)), list(range(n))
+        for cid in range(n, n + rng.randint(2, 5)):
+            b += [cid, cid]
+        rng.shuffle(a)
+        while least_arc(b) < n:
+            rng.shuffle(b)
+        d = ChordDiagram([a, b, []][:rng.randint(2, 3)])
+        assert canonicalize(d).circles == oracle_canonical(d)
 
 
 def test_canonicalize_reduction_outputs_match_brute_force():
