@@ -29,13 +29,19 @@ so paths that meet in a state share one expansion. It has two move
 strategies. On one circle, level by level: take a (level-1)-tower, pick
 by pigeonhole an arc pair between tower endpoints joined by >= level
 chords (the specials), sort the specials until pairwise disjoint. The
-tower is the set the branch-and-bound search returns, taken once per
-plan, so the term lists do not depend on the degree test. On
-several circles: uncross chords circle by circle. One move kernel, _move,
-serves four_term and the engine: it finds the near fixed endpoint and
-the mover's side once, writes the three main terms and, unless the move
-is a clean version 1 (both chords on the moving circle alone), the error
-pair. One retirement test serves the entry checks and every level.
+tower is the set the branch-and-bound search returns on crossing masks
+built by one prefix-XOR sweep, taken once per plan, so the term lists do
+not depend on the degree test. The plan names the alpha arc by the tower
+endpoint that opens it, so each move reads that arc alone. One-circle
+states carry no position map. On several circles: uncross chords circle
+by circle. One move kernel, _move, serves four_term and the engine: it
+finds the near fixed endpoint and the mover's side once, writes the three
+main terms and, unless the move is a clean version 1 (both chords on the
+moving circle alone), the error pair. One retirement test serves the
+entry checks and every state entering a level. A one-circle term that
+chord b alone moved out of an unretired parent retires iff b and the
+chords that do not cross it reach the level: bd(child - b) =
+bd(parent - b) < level.
 
 The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
@@ -240,6 +246,19 @@ def _adjacency_masks(pos):
     return masks
 
 
+def _circle_masks(seq):
+    """Crossing masks of one circle of chords 0..n-1 (bit i for chord i),
+    and each chord's two slots. A chord crosses chord i at slots p < q iff
+    one of its endpoints lies in (p, q), so with odd[k] the XOR of the bits
+    before slot k, row i is odd[q] ^ odd[p + 1]: one sweep, O(N) big-int
+    operations."""
+    odd, slots = [0], [[] for _ in range(len(seq) // 2)]
+    for p, tok in enumerate(seq):
+        odd.append(odd[-1] ^ 1 << tok)
+        slots[tok].append(p)
+    return [odd[q] ^ odd[p + 1] for p, q in slots], slots
+
+
 def _mis(masks, stop_at=None):
     """Maximum independent set: (size, chosen bitmask). Exact, unless
     stop_at is given, in which case the search returns early once a set
@@ -297,8 +316,9 @@ def _bd_circle(seq, cap=None):
 def _bd_raw(circles, pos, stop_at=None):
     """Boundary degree of raw circles, or a value >= stop_at once it
     reaches stop_at; type I chords on different circles never interleave,
-    so without type II chords it is a sum per circle."""
-    if all(len(per) == 1 for per in pos.values()):
+    so without type II chords it is a sum per circle. One circle carries
+    type I chords only, so its pos is not read and may be None."""
+    if len(circles) == 1 or all(len(per) == 1 for per in pos.values()):
         return sum(_bd_circle(seq, stop_at) for seq in circles)
     return _mis(_adjacency_masks(pos), stop_at=stop_at)[0]
 
@@ -434,17 +454,18 @@ def _move(circles, pos, circ, m_pos, fixed):
     """One 4-term move of the endpoint at circles[circ][m_pos] across the
     fixed chord, as (circles, added marks, sign) triples.
 
-    pos is the position map of circles. The near fixed endpoint is the
-    one next to the mover, the lower slot if both are. The mover flips to
-    the other side of it (+1), lands on its new side of the far endpoint
-    (+1), and on its old side of the far endpoint (-1). Unless both chords
-    lie on the moving circle alone (a clean version 1), the error pair
-    follows: the moving chord removed, one marker, +1, and the same with an
-    inert extra circle, -1.
+    pos, the position map, is read only on several circles. The near fixed
+    endpoint is the one next to the mover, the lower slot if both are. The
+    mover flips to the other side of it (+1), lands on its new side of the
+    far endpoint (+1), and on its old side of the far endpoint (-1). Unless
+    both chords lie on the moving circle alone (a clean version 1), the
+    error pair follows: the moving chord removed, one marker, +1, and the
+    same with an inert extra circle, -1.
     """
     seq = circles[circ]
     n = len(seq)
-    fpos = pos[fixed][circ]
+    lo = seq.index(fixed)
+    fpos = (lo, seq.index(fixed, lo + 1))
     for near, far in (fpos, fpos[::-1]):
         after = (near + 1) % n == m_pos
         if after or (m_pos + 1) % n == near:
@@ -458,7 +479,7 @@ def _move(circles, pos, circ, m_pos, fixed):
         new = list(circles)
         new[circ] = rest[:at] + (mover,) + rest[at:]
         out.append((tuple(new), 0, sign))
-    if len(pos[fixed]) > 1 or len(pos[mover]) > 1:
+    if len(circles) > 1 and (len(pos[fixed]) > 1 or len(pos[mover]) > 1):
         stripped = tuple(tuple(tok for tok in s if tok != mover) for s in circles)
         out += [(stripped, 1, 1), (stripped + ((),), 1, -1)]
     return out
@@ -506,51 +527,36 @@ def four_term(d, fixed, moving, version):
 
 # -- single-circle tower reduction ------------------------------------------
 
-def _arc_structure(seq, s_ids):
-    """Arc decomposition of a circle at the tower endpoints.
-
-    Arcs are numbered by the tower endpoint that opens them, in list
-    order; the last arc wraps around. Tower tokens never move within a
-    level, so arc numbers stay meaningful across rewrites of a plan.
-    Returns (arc_of_pos, arcs) with arcs[k] the interior positions in
-    arc order.
-    """
-    n = len(seq)
-    bpos = [i for i, tok in enumerate(seq) if tok in s_ids]
-    arcs = {}
-    arc_of = {}
-    for bi, left in enumerate(bpos):
-        right = bpos[(bi + 1) % len(bpos)]
-        interior = []
-        p = (left + 1) % n
-        while p != right:
-            interior.append(p)
-            p = (p + 1) % n
-        arcs[bi] = interior
-        for p in interior:
-            arc_of[p] = bi
-    return arc_of, arcs
+def _arc(seq, s_ids, opener):
+    """The slots of the arc that the tower endpoint at slot opener opens,
+    in arc order, up to the next tower endpoint."""
+    n, out, q = len(seq), [], opener + 1
+    while seq[q % n] not in s_ids:
+        out.append(q % n)
+        q += 1
+    return out
 
 
 def _next_move(circles, pos, plan, level):
     """The next sorting move on circle 0: (0, moving position, fixed chord
     id, plan). A state entering a level has no plan yet; it gets one here
-    (tower, special arc, specials, their target order), and every term a
-    move produces inherits it."""
+    (tower, alpha arc, specials, their target order), and every term a move
+    produces inherits it. Tower endpoints never move, so the plan names the
+    alpha arc by the one that opens it, (token, 0 or 1 for its first or
+    second slot), and a move reads that arc alone. pos is not read."""
     seq = circles[0]
     if plan is None:
-        size, chosen = _mis(_adjacency_masks(pos))
+        masks, slots = _circle_masks(seq)
+        size, chosen = _mis(masks)
         if size != level - 1:
             raise RuntimeError("lift entered with wrong boundary degree")
-        ids = sorted(pos)
-        s_ids = frozenset(ids[i] for i in range(len(ids)) if chosen >> i & 1)
-        arc_of, arcs = _arc_structure(seq, s_ids)
+        s_ids = frozenset(i for i in range(len(masks)) if chosen >> i & 1)
+        bpos = [p for p, tok in enumerate(seq) if tok in s_ids]
         classes = {}
-        for cid in ids:
+        for cid, ends in enumerate(slots):
             if cid in s_ids:
                 continue
-            p1, p2 = pos[cid][0]
-            pair = tuple(sorted((arc_of[p1], arc_of[p2])))
+            pair = tuple(sorted((bisect_right(bpos, p) - 1) % len(bpos) for p in ends))
             if pair[0] == pair[1]:
                 raise RuntimeError("same-arc chord contradicts the degree bound")
             classes.setdefault(pair, []).append(cid)
@@ -559,10 +565,13 @@ def _next_move(circles, pos, plan, level):
             raise RuntimeError("pigeonhole bound violated")
         alpha_arc, beta_arc = key
         specials = frozenset(classes[key])
-        target = tuple(reversed([seq[p] for p in arcs[beta_arc] if seq[p] in specials]))
-        plan = (s_ids, alpha_arc, specials, target)
-    s_ids, alpha_arc, specials, target = plan
-    alpha_positions = _arc_structure(seq, s_ids)[1][alpha_arc]
+        target = tuple(reversed([seq[p] for p in _arc(seq, s_ids, bpos[beta_arc])
+                                 if seq[p] in specials]))
+        tok = seq[bpos[alpha_arc]]
+        plan = (s_ids, (tok, slots[tok].index(bpos[alpha_arc])), specials, target)
+    s_ids, (tok, k), specials, target = plan
+    opener = seq.index(tok)
+    alpha_positions = _arc(seq, s_ids, seq.index(tok, opener + 1) if k else opener)
     order = [seq[p] for p in alpha_positions if seq[p] in specials]
     if len(order) != len(target):
         raise RuntimeError("a special chord left its class")
@@ -584,6 +593,20 @@ def _retired(circles, pos, marks, m, level):
     return marks >= m or _bd_raw(circles, pos, stop_at=level) >= level
 
 
+def _child_retired(seq, b, marks, m, level):
+    """_retired for a one-circle term that chord b alone moved out of a
+    parent of degree < level. A noncrossing set without b lies in
+    child - b = parent - b, so bd(child - b) = bd(parent - b) < level, and
+    the child retires iff b with the chords that do not cross it (both
+    ends on one side of b) reach level."""
+    lo = seq.index(b)
+    hi = seq.index(b, lo + 1)
+    gone = set(seq[lo + 1:hi]).intersection(seq[hi + 1:] + seq[:lo])
+    gone.add(b)
+    kept = [tok for tok in seq if tok not in gone]
+    return marks >= m or 1 + _bd_circle(kept, level - 1) >= level
+
+
 def _reduce(d, m, levels, next_move, max_steps):
     """Rewrite d, for each level in turn, until every term is _retired at
     that level; the result is the DiagramSum of the last level's terms.
@@ -596,20 +619,25 @@ def _reduce(d, m, levels, next_move, max_steps):
     (circle, moving position, fixed chord id, plan) or None when no move
     applies, so by linearity neither the merging nor the order changes
     the sum. max_steps bounds the number of expansions.
+
+    One-circle states carry no position map (pos is None), and those made
+    by a move record the moved chord for the cheaper _child_retired test.
     """
     done = {(d.circles, d.marks): 1}
     steps = 0
     for level in levels:
-        frontier = {(circles, marks, None): co for (circles, marks), co in done.items()}
+        # state -> (coefficient, the moved chord of a one-circle child, or None)
+        frontier = {(circles, marks, None): (co, None) for (circles, marks), co in done.items()}
         done = {}
         while frontier:
             key = next(iter(frontier))
-            coeff = frontier.pop(key)
+            coeff, mover = frontier.pop(key)
             if not coeff:
                 continue
             circles, marks, plan = key
-            pos = _positions(circles)
-            if _retired(circles, pos, marks, m, level):
+            pos = _positions(circles) if len(circles) > 1 else None
+            if (_retired(circles, pos, marks, m, level) if mover is None
+                    else _child_retired(circles[0], mover, marks, m, level)):
                 done[circles, marks] = done.get((circles, marks), 0) + coeff
                 continue
             steps += 1
@@ -628,9 +656,10 @@ def _reduce(d, m, levels, next_move, max_steps):
                     % (len(pos), marks)
                 )
             circ, m_pos, fixed, plan = move
+            mover = circles[circ][m_pos] if pos is None else None
             for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
                 child = (new_circles, marks + added, plan)
-                frontier[child] = frontier.get(child, 0) + sign * coeff
+                frontier[child] = (frontier.get(child, (0,))[0] + sign * coeff, mover)
     return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in done.items())
 
 

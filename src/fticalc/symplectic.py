@@ -12,6 +12,7 @@ everything here can be shared freely between threads.
 """
 
 from . import _intlinalg as la
+from . import _lincomb as lc
 from ._records import read
 
 
@@ -72,12 +73,15 @@ class SymplecticLattice:
         return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
     def standard_lplus(self):
-        """span(e_1..e_g), the Lagrangian killed on the positive side."""
-        return Sublattice(self, tuple(self.e(i) for i in range(1, self.genus + 1)))
+        """span(e_1..e_g), the Lagrangian killed on the positive side. The
+        unit vectors are already its saturated Hermite basis."""
+        basis = tuple(self.e(i) for i in range(1, self.genus + 1))
+        return lc.new(Sublattice, lat=self, basis=basis)
 
     def standard_lminus(self):
-        """span(f_1..f_g)."""
-        return Sublattice(self, tuple(self.f(i) for i in range(1, self.genus + 1)))
+        """span(f_1..f_g), built from its Hermite basis as standard_lplus is."""
+        basis = tuple(self.f(i) for i in range(1, self.genus + 1))
+        return lc.new(Sublattice, lat=self, basis=basis)
 
     def to_text(self):
         return "g=%d\n" % self.genus

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from math import inf
 
 import pytest
 
@@ -12,8 +13,14 @@ from fticalc.chords import (
     _adjacency_masks,
     _bd_circle,
     _bd_raw,
+    _child_retired,
+    _circle_masks,
     _mis,
     _move,
+    _next_move,
+    _positions,
+    _reduce,
+    _retired,
     boundary_degree,
     canonicalize,
     chords_intersect,
@@ -630,6 +637,118 @@ def test_tower_reduce_m4_star128():
     assert len(s) == 41
     assert s.coefficient_sum() == 1
     assert all(boundary_degree(term) >= 4 for term in s.terms)
+
+
+def test_circle_masks_match_pairwise_interleave():
+    rng = random.Random(116)
+    cases = [(), (0, 0)] + [random_single_circle(rng, rng.randint(1, 40)).circles[0]
+                            for _ in range(300)]
+    cases += [perturbed_star(rng, rng.randint(2, 60)) for _ in range(40)]
+    for seq in cases:
+        pos = _positions((seq,))
+        masks, slots = _circle_masks(seq)
+        assert masks == _adjacency_masks(pos)
+        assert slots == [pos[i][0] for i in range(len(pos))]
+
+
+def test_child_retired_matches_retired():
+    """The one-mover rule equals the full test on every child of random
+    moves out of unretired parents."""
+    rng = random.Random(116)
+    tested = []
+    for _ in range(2000):
+        seq = random_single_circle(rng, rng.randint(3, 12)).circles[0]
+        n = len(seq)
+        level, m = rng.randint(2, 4), rng.randint(1, 5)
+        marks = rng.randint(0, m - 1)
+        if _retired((seq,), None, marks, m, level):
+            continue
+        for _ in range(4):
+            fixed = rng.choice(seq)
+            slots = [p for p in range(n) if seq[p] == fixed]
+            slot = rng.choice([(p + step) % n for p in slots for step in (-1, 1)
+                               if seq[(p + step) % n] != fixed])
+            for child, added, _sign in _move((seq,), None, 0, slot, fixed):
+                assert added == 0
+                full = _retired(child, None, marks, m, level)
+                assert _child_retired(child[0], seq[slot], marks, m, level) == full
+                tested.append((full, level))
+    # a child at level 2 always retires: its parent is a star, and the mover
+    # leaves the fixed chord or every other chord
+    assert set(tested) == {(True, 2)} | {(r, level) for r in (False, True) for level in (3, 4)}
+    assert len(tested) > 3000
+
+
+def pairwise_plan(seq, level):
+    """The tower plan as built from pairwise crossings and every arc:
+    (tower, slot of the alpha arc's opening endpoint, specials, target)."""
+    n = len(seq)
+    size, chosen = _mis(_adjacency_masks(_positions((seq,))))
+    assert size == level - 1
+    tower = frozenset(i for i in range(n // 2) if chosen >> i & 1)
+    bpos = [p for p in range(n) if seq[p] in tower]
+    arcs = []
+    for bi, left in enumerate(bpos):
+        right = bpos[(bi + 1) % len(bpos)]
+        arcs.append([p % n for p in range(left + 1, right + (n if right < left else 0))])
+    arc_of = {p: k for k, arc in enumerate(arcs) for p in arc}
+    classes = {}
+    for cid in sorted(set(seq) - tower):
+        ends = [p for p in range(n) if seq[p] == cid]
+        classes.setdefault(tuple(sorted(arc_of[p] for p in ends)), []).append(cid)
+    alpha, beta = max(sorted(classes), key=lambda k: len(classes[k]))
+    specials = frozenset(classes[alpha, beta])
+    target = tuple(reversed([seq[p] for p in arcs[beta] if seq[p] in specials]))
+    return tower, bpos[alpha], specials, target
+
+
+def opener_plan(seq, plan):
+    """A plan with its alpha arc named by the slot of the opening endpoint."""
+    s_ids, (tok, k), specials, target = plan
+    return s_ids, [p for p in range(len(seq)) if seq[p] == tok][k], specials, target
+
+
+def test_tower_plans_match_pairwise_build():
+    """Every plan equals the one built from pairwise crossings and the full
+    arcs: on each level of reductions of the benchmark's band of perturbed
+    stars (54-59 chords, three nearby swaps, turned and reflected) and of
+    the 54-chord star, and on two perturbed stars side by side, where the
+    alpha arc may open at a token's second slot."""
+    rng = random.Random(116)
+    plans = []
+
+    def checked(circles, pos, plan, level):
+        move = _next_move(circles, pos, plan, level)
+        if plan is None:
+            assert opener_plan(circles[0], move[3]) == pairwise_plan(circles[0], level)
+            plans.append(level)
+        return move
+
+    for n, swaps in [(n, (n - 10, n - 8, n - 6)) for n in range(54, 60)] + [(54, ())]:
+        seq = list(range(n)) * 2
+        for p in swaps:
+            seq[p], seq[p + 1] = seq[p + 1], seq[p]
+        r = rng.randrange(2 * n)
+        seq = seq[r:] + seq[:r]
+        if rng.random() < 0.5:
+            seq.reverse()
+        d = ChordDiagram([seq])
+        assert _reduce(d, 3, range(2, 4), checked, inf) == tower_reduce(d, 3)
+    assert set(plans) == {2, 3}
+    second = 0
+    for _ in range(600):
+        a, b = rng.randint(1, 12), rng.randint(1, 12)
+        seq = list(perturbed_star(rng, a)) + [tok + a for tok in perturbed_star(rng, b)]
+        r = rng.randrange(len(seq))
+        seq = ChordDiagram([seq[r:] + seq[:r]]).circles[0]
+        level = _bd_circle(seq) + 1
+        try:
+            plan = _next_move((seq,), None, None, level)[3]
+        except (RuntimeError, ValueError):  # no pigeonhole arc pair, or no chord off the tower
+            continue
+        assert opener_plan(seq, plan) == pairwise_plan(seq, level)
+        second += plan[1][1]
+    assert second > 20
 
 
 def test_diagram_sum_pair_iterable_merges():

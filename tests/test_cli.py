@@ -117,6 +117,18 @@ PERTURBED54_M3_SHA256 = "8302b02fb96d150ae4ecfa43e46821d01fa43af4661c82fe69fa216
 # sha256 of the stdout of `cd reduce --m 4` on the 128-chord star (41 terms),
 # recorded while every degree query still ran the crossing-graph search
 STAR128_M4_SHA256 = "f3099bbce03f4e92113c9e1ec762e2e8935ba1a3413d11dbaca2dcfbbc5a1443"
+# sha256 of the stdout of `cd reduce --m 3` on the n-chord star with the
+# swaps (n - 10, n - 8, n - 6), for the benchmark's sizes n = 54..59,
+# recorded while every plan read all arcs and every term got the full
+# retirement test
+PERTURBED_BAND_M3_SHA256 = {
+    54: "8302b02fb96d150ae4ecfa43e46821d01fa43af4661c82fe69fa216648bb8792",
+    55: "089b058081258961840fab2425c12ae66a79d6ed82f9154df02c8ee1b03c8ae9",
+    56: "5397cd514e51225e9574a06a89b5939801cbd29f7ee056e8364938ed39162c3c",
+    57: "d51429c16fe50154094520128870ace76500552c469c048b93c7c10c79d6b52b",
+    58: "6ca1fd09f713dd3f9a2c2bffa51814695ad0ede9c352af02020bbea24fb3dd6a",
+    59: "41f76de208b3e9961ef61363e0af9af8218f92e72e6b1715fc4f07005cdb4415",
+}
 
 
 def run(capsys, argv, stdin=None):
@@ -203,9 +215,11 @@ def test_cd_reduce_golden(tmp_path, capsys):
     path = write(tmp_path, "star16.cd", star_text(16))
     status, out, _ = run(capsys, ["cd", "reduce", path, "--m", "2"])
     assert (status, out) == (0, STAR16_M2_STDOUT)
-    for text, m, digest in ((star_text(54), "3", STAR54_M3_SHA256),
+    band = [(star_text(n, swaps=(n - 10, n - 8, n - 6)), "3", digest)
+            for n, digest in PERTURBED_BAND_M3_SHA256.items()]
+    for text, m, digest in [(star_text(54), "3", STAR54_M3_SHA256),
                             (star_text(54, swaps=(44, 46, 48)), "3", PERTURBED54_M3_SHA256),
-                            (star_text(128), "4", STAR128_M4_SHA256)):
+                            (star_text(128), "4", STAR128_M4_SHA256)] + band:
         path = write(tmp_path, "star.cd", text)
         status, out, _ = run(capsys, ["cd", "reduce", path, "--m", m])
         assert status == 0

@@ -58,6 +58,17 @@ def test_is_lagrangian_examples():
     assert not Sublattice(lat, (lat.e(1),)).is_lagrangian()
 
 
+def test_standard_lagrangians_are_saturated_bases():
+    # built from their unit vectors without saturating; saturate agrees
+    for g in range(1, 7):
+        lat = SymplecticLattice(g)
+        for lag, unit in ((lat.standard_lplus(), lat.e), (lat.standard_lminus(), lat.f)):
+            gens = tuple(unit(i) for i in range(1, g + 1))
+            assert lag.basis == la.saturate(gens, lat.dim)
+            assert lag == Sublattice(lat, gens)
+            assert lag.is_lagrangian()
+
+
 def test_sublattice_saturation():
     lat = SymplecticLattice(1)
     s = Sublattice(lat, ((2, 0),))
