@@ -1,15 +1,20 @@
 """Exact linear algebra over Z on small dense matrices.
 
 Matrices are tuples of row tuples, dense and of modest size (blink
-linking matrices reach dimension 64 in the benchmark's determinants),
-so the algorithms favour clarity and exactness over speed.
+linking matrices reach dimension 64 in the benchmark's determinants).
 There are two eliminations: fraction-free Bareiss for determinants, and
 the gcd-based integer row echelon `_echelon`, which carries lattice
 normal forms, ranks, kernels, unimodular inverses and lattice
-coordinates. No floating point and no fractions. It is also the rank
-and echelon kernel behind span membership in the exterior algebra, and
-its det yields the Alexander polynomial by interpolation.
+coordinates. No floating point and no fractions. The module is also the
+rank and echelon kernel behind span membership in the exterior algebra,
+and its det yields the Alexander polynomial by interpolation.
+
+Bareiss updates one list per row in place; each step binds the pivot
+row, the pivot and each row's multiplier once, so the inner loop is one
+multiply, subtract and exact division per entry. Products are map(mul).
 """
+
+from operator import mul
 
 
 def identity(n):
@@ -22,13 +27,11 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def vec_add(u, v):
@@ -54,11 +57,16 @@ def det(m):
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        # column k below the pivot is never read again, so it is not zeroed
+        row = a[k]
+        p = row[k]
+        cols = range(k + 1, n)
+        for i in cols:
+            ai = a[i]
+            f = ai[k]
+            for j in cols:
+                ai[j] = (ai[j] * p - f * row[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

@@ -68,25 +68,26 @@ class BlinkPresentation:
 
         internal[p] is the linking of pair p's two components; cross is a
         symmetric r x r matrix (or dict keyed by (p, q)) of the common
-        linking number between components of distinct pairs.
+        linking number between components of distinct pairs; its diagonal
+        is not read.
         """
         r = len(internal)
-        n = 2 * r
-        lk = [[0] * n for _ in range(n)]
+        if cross is None:
+            cross = [[0] * r] * r
+        elif isinstance(cross, dict):
+            cross = [[cross.get((p, q), cross.get((q, p), 0)) for q in range(r)]
+                     for p in range(r)]
+        lk = []
         for p, l in enumerate(internal):
-            lk[2 * p][2 * p + 1] = lk[2 * p + 1][2 * p] = int(l)
-        if cross is not None:
-            for p in range(r):
-                for q in range(r):
-                    if p == q:
-                        continue
-                    if isinstance(cross, dict):
-                        v = cross.get((p, q), cross.get((q, p), 0))
-                    else:
-                        v = cross[p][q]
-                    for a in (2 * p, 2 * p + 1):
-                        for b in (2 * q, 2 * q + 1):
-                            lk[a][b] = int(v)
+            # both components of pair p link components 2q and 2q + 1 alike
+            c = cross[p]
+            row = [v for q in range(r) for v in ((int(c[q]),) * 2 if q != p else (0, 0))]
+            x, y, l = 2 * p, 2 * p + 1, int(l)
+            row[y] = l
+            lk.append(row)
+            row = row.copy()
+            row[x], row[y] = l, 0
+            lk.append(row)
         return cls(r, lk, eps)
 
     def __eq__(self, other):
@@ -300,13 +301,17 @@ def _normalize_base(base):
 
 
 def _expand(base, comp_items, pair_items):
+    """The alternating subset sum, doubled per item; every key is distinct."""
     label, surged = base
     items = [("comp", i) for i in comp_items] + [("pair", p) for p in pair_items]
-    return FormalSum(
-        ((label, surged | frozenset(chosen)), (-1) ** size)
-        for size in range(len(items) + 1)
-        for chosen in itertools.combinations(items, size)
-    )
+    if not surged.isdisjoint(items):
+        return FormalSum()  # each term cancels against its twin with the item
+    sets, signs = [surged], [1]
+    for item in items:
+        one = frozenset((item,))
+        sets += [s | one for s in sets]
+        signs += [-c for c in signs]
+    return lc.new(FormalSum, terms=dict(zip([(label, s) for s in sets], signs)))
 
 
 def bracket_expand(base, obj):
@@ -314,7 +319,10 @@ def bracket_expand(base, obj):
 
     For an n-component admissible link: 2^n terms with sign (-1)^|L'|.
     For an r-pair blink: 2^r terms with sign (-1)^(number of pairs used).
-    The coefficient sum is zero whenever n, r >= 1.
+    The coefficient sum is zero whenever n, r >= 1. If the base's surged
+    set already holds one of the components or pairs, the subsets with
+    and without it name the same descriptor with opposite signs, so the
+    bracket is FormalSum(0).
     """
     base = _normalize_base(base)
     if isinstance(obj, FramedLink):

@@ -55,6 +55,79 @@ def test_det_matches_permutation_expansion():
         assert det(m) == perm_det(m)
 
 
+def with_mid_pivot_zero(rng, n, k):
+    """A random n x n matrix whose leading (k+1) x (k+1) minor is singular,
+    so Bareiss meets a zero pivot at step k and must swap rows."""
+    m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    m[k][:k + 1] = [a * x + b * y for x, y in zip(m[0][:k + 1], m[k - 1][:k + 1])]
+    return tuple(map(tuple, m))
+
+
+def test_det_matches_sympy_n_6_to_12():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(107)
+    swaps = 0
+    for n in range(6, 13):
+        cases = [tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+                 for _ in range(3)]
+        for _ in range(3):
+            k = rng.randint(2, n - 2)
+            m = with_mid_pivot_zero(rng, n, k)
+            assert sympy.Matrix([row[:k + 1] for row in m[:k + 1]]).det() == 0
+            swaps += sympy.Matrix(m).det() != 0
+            cases.append(m)
+        repeated = [list(row) for row in cases[0]]
+        repeated[n - 1] = repeated[rng.randrange(n - 1)]
+        zero_col = [list(row) for row in cases[1]]
+        c = rng.randrange(n)
+        for row in zero_col:
+            row[c] = 0
+        cases += [tuple(map(tuple, repeated)), tuple(map(tuple, zero_col))]
+        for m in cases:
+            assert det(m) == int(sympy.Matrix(m).det())
+        assert det(cases[-1]) == det(cases[-2]) == 0
+        with pytest.raises(ValueError):
+            det(tuple(row[:-1] for row in cases[0]))
+    assert swaps >= 15  # most mid-elimination zero pivots sit in a nonsingular matrix
+
+
+def det_mod_p(m, p):
+    """Determinant mod a prime p by Gaussian elimination over GF(p)."""
+    a = [[x % p for x in row] for row in m]
+    n = len(a)
+    d = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            d = -d
+        d = d * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return d % p
+
+
+def test_det_matches_mod_p_elimination_n_30_to_64():
+    rng = random.Random(109)
+    primes = (2147483647, 1000000007)
+    for n in (30, 41, 53, 64):
+        repeated = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        repeated[n - 1] = repeated[0]
+        repeated = tuple(map(tuple, repeated))
+        cases = (with_mid_pivot_zero(rng, n, 1),
+                 with_mid_pivot_zero(rng, n, rng.randint(2, n - 2)), repeated)
+        for case in cases:
+            d = det(case)
+            assert all(d % p == det_mod_p(case, p) for p in primes)
+        assert det(repeated) == 0
+
+
 def test_row_hnf_canonical():
     a = row_hnf(((2, 4), (1, 1)), 2)
     b = row_hnf(((1, 1), (0, 2), (3, 5)), 2)
@@ -235,3 +308,29 @@ def test_mat_mul_transpose():
     b = ((0, 1), (1, 0))
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert transpose(a) == ((1, 3), (2, 4))
+
+
+def test_mat_mul_and_mat_vec_match_triple_loop():
+    def naive_mul(a, b):
+        width = len(b[0]) if b else 0
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                           for j in range(width)) for i in range(len(a)))
+
+    def naive_vec(m, v):
+        return tuple(sum(m[i][k] * v[k] for k in range(len(v))) for i in range(len(m)))
+
+    rng = random.Random(113)
+    shapes = [(3, 5, 2), (1, 4, 3), (4, 1, 5), (2, 3, 1), (1, 1, 1), (6, 6, 6), (3, 0, 0),
+              (0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(20)]
+    for p, q, s in shapes:
+        a = tuple(tuple(rng.randint(-9, 9) for _ in range(q)) for _ in range(p))
+        b = tuple(tuple(rng.randint(-9, 9) for _ in range(s)) for _ in range(q))
+        v = tuple(rng.randint(-9, 9) for _ in range(q))
+        assert mat_mul(a, b) == naive_mul(a, b)
+        assert mat_vec(a, v) == naive_vec(a, v)
+        assert mat_mul(a, transpose(a)) == naive_mul(a, transpose(a))
+    assert mat_mul((), ()) == () and mat_vec((), ()) == ()
+    assert transpose(()) == () and mat_mul(((1, 2),), transpose(())) == ((),)
+    assert mat_mul(((), ()), ()) == ((), ()) and mat_vec(((), ()), ()) == (0, 0)
+    assert all(type(x) is tuple for x in mat_mul(((1, 2),), ((3,), (4,))))

@@ -230,6 +230,100 @@ def test_fundamental_relation_absent_piece():
         fundamental_relation("M", none, l1, ("pair", 0))
 
 
+def expand_reference(base, items):
+    """The alternating subset sum by itertools.combinations, collected."""
+    label, surged = base
+    acc = {}
+    for size in range(len(items) + 1):
+        for chosen in itertools.combinations(items, size):
+            key = (label, surged | frozenset(chosen))
+            acc[key] = acc.get(key, 0) + (-1) ** size
+    return {k: c for k, c in acc.items() if c}
+
+
+def split_link(rng, n):
+    return FramedLink(n, [[rng.choice((1, -1)) if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+def test_bracket_expand_matches_combinations_reference():
+    rng = random.Random(127)
+    bases = [("M", frozenset()), ("N", frozenset([("comp", 9), ("pair", 9)])),
+             ("M", frozenset([("comp", 1), ("pair", 2)]))]
+    for label, surged in bases:
+        base = (label, sorted(surged))
+        for n in range(6):
+            items = [("comp", i) for i in range(n)]
+            got = bracket_expand(base, split_link(rng, n)).terms
+            assert got == expand_reference((label, surged), items)
+            assert all(type(c) is int for c in got.values())
+        for r in range(7):
+            items = [("pair", p) for p in range(r)]
+            got = bracket_expand(base, random_blink(rng, r)).terms
+            assert got == expand_reference((label, surged), items)
+            assert all(type(c) is int for c in got.values())
+
+
+def test_fundamental_relation_matches_combinations_reference():
+    rng = random.Random(131)
+    for n in range(4):
+        for r in range(4):
+            link, blink = split_link(rng, n), random_blink(rng, r)
+            items = [("comp", i) for i in range(n)] + [("pair", p) for p in range(r)]
+            for l in items:
+                rest = [x for x in items if x != l]
+                lhs, rhs = fundamental_relation("M", blink, link, l)
+                base = ("M", frozenset())
+                want = expand_reference(base, rest)
+                for k, c in expand_reference(("M", frozenset([l])), rest).items():
+                    want[k] = want.get(k, 0) - c
+                assert lhs.terms == expand_reference(base, items)
+                assert rhs.terms == {k: c for k, c in want.items() if c} == lhs.terms
+
+
+def test_bracket_of_a_base_already_surged_on_an_item_is_zero():
+    rng = random.Random(137)
+    for n in range(1, 5):
+        for i in range(n):
+            s = bracket_expand(("M", [("comp", i)]), split_link(rng, n))
+            assert s == FormalSum() and len(s) == 0 and repr(s) == "FormalSum(0)"
+    for r in range(1, 5):
+        for p in range(r):
+            s = bracket_expand(("M", [("pair", p), ("comp", 0)]), random_blink(rng, r))
+            assert s == FormalSum() and repr(s) == "FormalSum(0)"
+    lhs, rhs = fundamental_relation(("M", [("pair", 0)]), random_blink(rng, 2),
+                                    split_link(rng, 1), ("comp", 0))
+    assert lhs == rhs == FormalSum()
+
+
+def test_from_pair_data_matches_entrywise_rule():
+    rng = random.Random(139)
+    for r in range(6):
+        internal = [rng.randint(-5, 5) for _ in range(r)]
+        eps = [rng.choice((1, -1)) for _ in range(r)]
+        cross = [[rng.randint(-5, 5) if p != q else None for q in range(r)] for p in range(r)]
+        for p in range(r):
+            for q in range(p):
+                cross[p][q] = cross[q][p]
+        sparse = {(p, q): cross[p][q] for p in range(r) for q in range(p + 1, r)
+                  if rng.random() < 0.6}
+        dense = {(p, q): sparse.get((p, q), sparse.get((q, p), 0))
+                 for p in range(r) for q in range(r) if p != q}
+        for given, table in ((None, {}), (cross, {(p, q): cross[p][q] for p in range(r)
+                                                   for q in range(r) if p != q}),
+                             (sparse, dense)):
+            b = BlinkPresentation.from_pair_data(internal, eps, given)
+            for i in range(2 * r):
+                for j in range(2 * r):
+                    p, q = i // 2, j // 2
+                    if p != q:
+                        want = table.get((p, q), 0)
+                    else:
+                        want = internal[p] if i != j else 0
+                    assert b.lk[i][j] == want
+            assert b.eps == tuple(eps)
+
+
 def test_seifert_framing_conversion():
     assert seifert_framing_to_framing(1, -1, 0) == (1, -1)
     assert seifert_framing_to_framing(1, -1, 3) == (4, 2)
