@@ -11,7 +11,9 @@ and its det yields the Alexander polynomial by interpolation.
 
 Bareiss updates one list per row in place; each step binds the pivot
 row, the pivot and each row's multiplier once, so the inner loop is one
-multiply, subtract and exact division per entry. Products are map(mul).
+multiply, subtract and exact division per entry, over the upper triangle
+only when the input is symmetric (a blink linking matrix). Products are
+map(mul).
 """
 
 from operator import mul
@@ -39,33 +41,59 @@ def vec_add(u, v):
 
 
 def det(m):
-    """Exact integer determinant (fraction-free Bareiss)."""
+    """Exact integer determinant (fraction-free Bareiss).
+
+    A symmetric input stays symmetric, so only its upper triangle is
+    updated. At a zero pivot the triangle is mirrored, and rows and columns
+    k, i are swapped for a nonzero a[i][i] (a similarity: the sign stays);
+    with none, as in [[0, 1], [1, 0]] blocks, a row swap and the general
+    loop finish.
+    """
     n = len(m)
     if n == 0:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     a = [list(row) for row in m]
+    sym = n > 1 and m[0][1] == m[1][0] and tuple(map(tuple, m)) == tuple(zip(*m))
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
+            if sym:
+                for i in range(k + 1, n):
+                    a[i][k:i] = [a[j][i] for j in range(k, i)]
+                i = next((i for i in range(k + 1, n) if a[i][i]), None)
+                if i is None:
+                    sym = False
+                else:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+                    for r in a:
+                        r[k], r[i] = r[i], r[k]
+            if not sym:
+                for i in range(k + 1, n):
+                    if a[i][k] != 0:
+                        a[k], a[i] = a[i], a[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
         # column k below the pivot is never read again, so it is not zeroed
         row = a[k]
         p = row[k]
         cols = range(k + 1, n)
-        for i in cols:
-            ai = a[i]
-            f = ai[k]
-            for j in cols:
-                ai[j] = (ai[j] * p - f * row[j]) // prev
+        if sym:
+            for i in cols:
+                ai = a[i]
+                f = row[i]
+                for j in range(i, n):
+                    ai[j] = (ai[j] * p - f * row[j]) // prev
+        else:
+            for i in cols:
+                ai = a[i]
+                f = ai[k]
+                for j in cols:
+                    ai[j] = (ai[j] * p - f * row[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1]
 

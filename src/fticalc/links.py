@@ -50,7 +50,7 @@ class BlinkPresentation:
     def __init__(self, pairs, lk, eps):
         self.pairs = int(pairs)
         n = 2 * self.pairs
-        self.lk = tuple(tuple(int(x) for x in row) for row in lk)
+        self.lk = tuple(tuple(map(int, row)) for row in lk)
         if len(self.lk) != n or any(len(r) != n for r in self.lk):
             raise ValueError("lk must be 2r x 2r")
         if self.lk != la.transpose(self.lk):
@@ -141,7 +141,7 @@ class FramedLink:
 
     def __init__(self, components, lk, boundary=False):
         self.components = int(components)
-        self.lk = tuple(tuple(int(x) for x in row) for row in lk)
+        self.lk = tuple(tuple(map(int, row)) for row in lk)
         n = self.components
         if len(self.lk) != n or any(len(r) != n for r in self.lk):
             raise ValueError("lk must be n x n")
@@ -210,10 +210,11 @@ def blink_linking_matrix(b):
         if b.eps[p] is None:
             raise ValueError("pair %d has no epsilon" % p)
         x, y = 2 * p, 2 * p + 1
+        lx, ly = b.lk[x], b.lk[y]
+        if lx[:x] == ly[:x] and lx[x + 2:] == ly[x + 2:]:
+            continue
         for z in range(n):
-            if z in (x, y):
-                continue
-            if b.lk[x][z] != b.lk[y][z]:
+            if z not in (x, y) and lx[z] != ly[z]:
                 raise ValueError(
                     "inconsistent pair data: components %d, %d link %d differently"
                     % (x, y, z)
@@ -409,7 +410,7 @@ class SeifertMatrix:
         if any(s < 0 for s in self.sizes):
             raise ValueError("block sizes must be nonnegative")
         total = sum(self.sizes)
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
+        self.entries = tuple(tuple(map(int, row)) for row in entries)
         if len(self.entries) != total or any(len(r) != total for r in self.entries):
             raise ValueError("matrix size must equal the sum of block sizes")
 

@@ -111,7 +111,7 @@ class Sublattice:
 
     def __init__(self, lat, generators):
         self.lat = lat
-        gens = tuple(tuple(int(x) for x in v) for v in generators)
+        gens = tuple(tuple(map(int, v)) for v in generators)
         for v in gens:
             if len(v) != lat.dim:
                 raise ValueError("generator length must be 2g")
@@ -175,15 +175,17 @@ class Sublattice:
 
 
 class SpMatrix:
-    """An integer matrix preserving the pairing: M^T J M = J exactly."""
+    """An integer matrix preserving the pairing: M^T J M = J exactly.
 
-    def __init__(self, lat, entries, _check=True):
+    The constructor checks it; the builders below hold it by construction."""
+
+    def __init__(self, lat, entries):
         self.lat = lat
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
+        self.entries = tuple(tuple(map(int, row)) for row in entries)
         n = lat.dim
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("matrix must be 2g x 2g")
-        if _check and not self.is_symplectic():
+        if not self.is_symplectic():
             raise ValueError("matrix does not preserve the pairing")
 
     def is_symplectic(self):
@@ -201,7 +203,7 @@ class SpMatrix:
         j = self.lat.pairing_matrix()
         jinv = tuple(tuple(-x for x in row) for row in j)  # J^2 = -I
         inv = la.mat_mul(la.mat_mul(jinv, la.transpose(self.entries)), j)
-        return SpMatrix(self.lat, inv, _check=False)
+        return lc.new(SpMatrix, lat=self.lat, entries=inv)
 
     def __matmul__(self, other):
         return compose(self, other)
@@ -221,7 +223,7 @@ class SpMatrix:
 
     @classmethod
     def identity(cls, lat):
-        return cls(lat, la.identity(lat.dim), _check=False)
+        return lc.new(cls, lat=lat, entries=la.identity(lat.dim))
 
     @classmethod
     def upper_unitriangular(cls, lat, c):
@@ -233,10 +235,10 @@ class SpMatrix:
             raise ValueError("block must be symmetric")
         rows = []
         for i in range(g):
-            rows.append(tuple(1 if k == i else 0 for k in range(g)) + tuple(c[i]))
+            rows.append(tuple(1 if k == i else 0 for k in range(g)) + tuple(map(int, c[i])))
         for i in range(g):
             rows.append(tuple(0 for _ in range(g)) + tuple(1 if k == i else 0 for k in range(g)))
-        return cls(lat, rows, _check=False)
+        return lc.new(cls, lat=lat, entries=tuple(rows))
 
     def block_c(self):
         """The C block if the matrix has the form [[I, C], [0, I]], else None."""
@@ -264,7 +266,7 @@ def compose(a, b):
     """Matrix product; for [[I,C],[0,I]] factors the C blocks add."""
     if a.lat != b.lat:
         raise ValueError("matrices over different lattices")
-    return SpMatrix(a.lat, la.mat_mul(a.entries, b.entries), _check=False)
+    return lc.new(SpMatrix, lat=a.lat, entries=la.mat_mul(a.entries, b.entries))
 
 
 def transvection(lat, v, k):
@@ -292,7 +294,7 @@ def transvection(lat, v, k):
         tuple((1 if i == c else 0) + k * v[i] * vj[c] for c in range(n))
         for i in range(n)
     )
-    return SpMatrix(lat, rows, _check=False)
+    return lc.new(SpMatrix, lat=lat, entries=rows)
 
 
 def realize_symmetric(lat, c):

@@ -128,6 +128,83 @@ def test_det_matches_mod_p_elimination_n_30_to_64():
         assert det(repeated) == 0
 
 
+def random_symmetric(rng, n, lo=-9, hi=9):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(lo, hi)
+    return m
+
+
+def symmetric_cases(rng, n):
+    """Seeded symmetric n x n matrices for each path of symmetric Bareiss:
+    a zero pivot at step 0 and at a step k > 0 (rows and columns swapped
+    together); a zero diagonal throughout, and a nonsingular block plus
+    [[0, 1], [1, 0]] blocks (no nonzero diagonal is left: the row-swap
+    fallback at step 0 and mid-elimination); and, last, two singular ones."""
+    cases = []
+    m = random_symmetric(rng, n)
+    m[0][0] = 0
+    cases.append(m)
+    # the leading (k+1) block [[L, Lc], [c^T L, c^T L c]] = [I c]^T L [I c] has rank k
+    k = rng.randint(2, n - 2)
+    m = random_symmetric(rng, n)
+    for i in range(k):
+        m[i][i] += 10 * n  # L is diagonally dominant, so no leading minor is zero
+    c = [rng.randint(-2, 2) for _ in range(k)]
+    l_c = [sum(m[i][j] * c[j] for j in range(k)) for i in range(k)]
+    for i in range(k):
+        m[i][k] = m[k][i] = l_c[i]
+    m[k][k] = sum(x * y for x, y in zip(c, l_c))
+    cases.append(m)
+    m = random_symmetric(rng, n)
+    for i in range(n):
+        m[i][i] = 0
+    cases.append(m)
+    h = rng.randint(1, n // 2)
+    m = random_symmetric(rng, n)
+    for i in range(n - 2 * h):
+        m[i][i] += 10 * n
+    for i in range(n - 2 * h, n):
+        for j in range(n):
+            m[i][j] = m[j][i] = 0
+    for i in range(n - 2 * h, n, 2):
+        m[i][i + 1] = m[i + 1][i] = rng.choice((1, -1, 2))
+    cases.append(m)
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+    d = [rng.choice((1, -1, 2)) for _ in range(n - 1)]
+    cases.append([[sum(b[t][i] * d[t] * b[t][j] for t in range(n - 1)) for j in range(n)]
+                  for i in range(n)])  # B^T D B with B of rank < n
+    m = random_symmetric(rng, n)
+    x, y = rng.sample(range(n), 2)
+    m[y] = m[x][:]
+    for row in m:
+        row[y] = row[x]
+    cases.append(m)
+    return [tuple(map(tuple, m)) for m in cases]
+
+
+def test_symmetric_det_matches_sympy_n_6_to_12():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(149)
+    for n in range(6, 13):
+        cases = symmetric_cases(rng, n)
+        for m in cases + [tuple(map(tuple, random_symmetric(rng, n)))]:
+            assert det(m) == int(sympy.Matrix(m).det())
+        assert det(cases[-1]) == det(cases[-2]) == 0
+
+
+def test_symmetric_det_matches_mod_p_elimination_n_30_to_64():
+    rng = random.Random(151)
+    primes = (2147483647, 1000000007)
+    for n in (30, 41, 53, 64):
+        cases = symmetric_cases(rng, n)
+        for case in cases:
+            d = det(case)
+            assert all(d % p == det_mod_p(case, p) for p in primes)
+        assert det(cases[-1]) == det(cases[-2]) == 0
+
+
 def test_row_hnf_canonical():
     a = row_hnf(((2, 4), (1, 1)), 2)
     b = row_hnf(((1, 1), (0, 2), (3, 5)), 2)

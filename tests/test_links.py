@@ -104,8 +104,15 @@ def test_blink_inconsistent_pair_data():
         ],
         [1, 1],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="components 0, 1 link 2 differently"):
         blink_linking_matrix(bad)
+    # component 4 links both of pair 0 once and both of pair 3 twice, and
+    # component 5 links neither: only pair 2 is inconsistent, first at 0
+    rows = [list(row) for row in BlinkPresentation.from_pair_data([1, 2, 3, 4], [1] * 4).lk]
+    for z, v in ((0, 1), (1, 1), (6, 2), (7, 2)):
+        rows[4][z] = rows[z][4] = v
+    with pytest.raises(ValueError, match="components 4, 5 link 0 differently"):
+        blink_linking_matrix(BlinkPresentation(4, rows, [1] * 4))
     missing = BlinkPresentation.from_pair_data([0], [None])
     with pytest.raises(ValueError):
         blink_linking_matrix(missing)
@@ -133,6 +140,16 @@ def test_blink_determinant_is_sign_of_pair_count():
     for _ in range(300):
         r = rng.randint(0, 7)
         assert la.det(blink_linking_matrix(random_blink(rng, r))) == (-1) ** r
+    # up to the benchmark's 64 x 64; a pair with l = -eps has l + eps = 0 on
+    # the diagonal, so det meets zero pivots mid-elimination
+    for r in list(range(1, 9)) + list(range(26, 33)):
+        b = random_blink(rng, r)
+        internal = [b.lk[2 * p][2 * p + 1] for p in range(r)]
+        for p in rng.sample(range(r), rng.randint(1, r)):
+            internal[p] = -b.eps[p]
+        cross = [[b.lk[2 * p][2 * q] for q in range(r)] for p in range(r)]
+        forced = BlinkPresentation.from_pair_data(internal, b.eps, cross)
+        assert la.det(blink_linking_matrix(forced)) == (-1) ** r
 
 
 def test_is_unimodular_examples():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -282,6 +283,28 @@ def test_compose_inverse_identity():
     )
     assert compose(a, a.inverse()) == SpMatrix.identity(lat)
     assert a.is_symplectic()
+
+
+def test_builders_match_checked_constructor():
+    # identity, inverse, compose, transvection and upper_unitriangular skip
+    # the symplectic check, which holds by construction; the checked
+    # constructor accepts each result unchanged, and every entry is an int
+    rng = random.Random(157)
+    for g in range(1, 7):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            c = random_symmetric(rng, g)
+            u = SpMatrix.upper_unitriangular(lat, [[Fraction(x) for x in row] for row in c])
+            v = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+            t = transvection(lat, v if any(v) else lat.f(1), rng.choice((1, -1, 2)))
+            built = [SpMatrix.identity(lat), u, t, compose(u, t), t.inverse(), compose(t, u).inverse()]
+            for m in built:
+                assert m == SpMatrix(lat, m.entries)
+                assert all(type(x) is int for row in m.entries for x in row)
+    with pytest.raises(ValueError, match="preserve"):
+        SpMatrix(SymplecticLattice(1), ((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match="preserve"):
+        SpMatrix(SymplecticLattice(2), ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def test_compose_dimension_mismatch():
