@@ -8,8 +8,9 @@ type I (two endpoints, on one circle or one on each of two) or type II
 intersect when some circle carries two endpoints of each in interleaved
 (1212) cyclic order; the boundary degree is the size of a largest
 pairwise-nonintersecting chord set: an O(N * bd) interval DP per circle,
-which a retirement test stops at its level, when every chord is type I,
-otherwise a branch-and-bound search on the crossing graph.
+which a retirement test stops at its level, if no chord meets two
+circles, else a branch-and-bound search on the crossing graph, the OR of
+one prefix-XOR sweep per circle with rows indexed by chord id.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -29,19 +30,19 @@ so paths that meet in a state share one expansion. It has two move
 strategies. On one circle, level by level: take a (level-1)-tower, pick
 by pigeonhole an arc pair between tower endpoints joined by >= level
 chords (the specials), sort the specials until pairwise disjoint. The
-tower is the set the branch-and-bound search returns on crossing masks
-built by one prefix-XOR sweep, taken once per plan, so the term lists do
-not depend on the degree test. The plan names the alpha arc by the tower
-endpoint that opens it, so each move reads that arc alone. One-circle
-states carry no position map. On several circles: uncross chords circle
-by circle. One move kernel, _move, serves four_term and the engine: it
-finds the near fixed endpoint and the mover's side once, writes the three
-main terms and, unless the move is a clean version 1 (both chords on the
-moving circle alone), the error pair. One retirement test serves the
-entry checks and every state entering a level. A one-circle term that
-chord b alone moved out of an unretired parent retires iff b and the
-chords that do not cross it reach the level: bd(child - b) =
-bd(parent - b) < level.
+tower is the set the branch-and-bound search returns on the circle's
+sweep, taken once per plan, so the term lists do not depend on the degree
+test. The plan names the alpha arc by the tower endpoint that opens it,
+so each move reads that arc alone. On several circles: uncross chords
+circle by circle, at the first crossing pair of a sweep. A state is its
+raw circles; it carries no position map. One move kernel, _move, serves
+four_term and the engine: it finds the near fixed endpoint and the
+mover's side once, writes the three main terms and, unless the move is a
+clean version 1 (both chords on the moving circle alone), the error pair.
+One retirement test serves the entry checks and every state entering a
+level. A one-circle term that chord b alone moved out of an unretired
+parent retires iff b and the chords that do not cross it reach the
+level: bd(child - b) = bd(parent - b) < level.
 
 The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
@@ -233,37 +234,26 @@ def chords_intersect(d, c1, c2):
     return _interleave(d._pos[c1], d._pos[c2])
 
 
-def _adjacency_masks(pos):
-    """Crossing graph as bitmasks; bit i stands for the i-th smallest id."""
-    per = [pos[cid] for cid in sorted(pos)]
-    n = len(per)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _interleave(per[i], per[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
-def _circle_masks(seq):
-    """Crossing masks of one circle of chords 0..n-1 (bit i for chord i),
-    and each chord's two slots. A chord crosses chord i at slots p < q iff
-    one of its endpoints lies in (p, q), so with odd[k] the XOR of the bits
-    before slot k, row i is odd[q] ^ odd[p + 1]: one sweep, O(N) big-int
-    operations."""
-    odd, slots = [0], [[] for _ in range(len(seq) // 2)]
+def _circle_masks(seq, n):
+    """Crossing rows of one circle by chord id < n (bit j for chord j), and
+    each chord's slots there. Chord j crosses chord i at slots p < q iff j
+    has one endpoint in (p, q) and one here outside it, so with odd[k] the
+    XOR of the bits before slot k, row i is odd[q] ^ odd[p + 1] less the
+    bits of odd[-1], the chords with one endpoint here: O(N) operations."""
+    odd, slots = [0], [[] for _ in range(n)]
     for p, tok in enumerate(seq):
         odd.append(odd[-1] ^ 1 << tok)
         slots[tok].append(p)
-    return [odd[q] ^ odd[p + 1] for p, q in slots], slots
+    both = ~odd[-1]
+    return [(odd[ps[1]] ^ odd[ps[0] + 1]) & both if len(ps) == 2 else 0
+            for ps in slots], slots
 
 
-def _mis(masks, stop_at=None):
-    """Maximum independent set: (size, chosen bitmask). Exact, unless
-    stop_at is given, in which case the search returns early once a set
-    of that size is found (sufficient for threshold checks). Used for
-    diagrams with a type II chord and for the tower of each plan."""
+def _mis(masks, live, stop_at=None):
+    """Maximum independent set of the chords in the bitmask live: (size,
+    chosen bitmask). Exact, unless stop_at is given, in which case the
+    search returns early once a set of that size is found (sufficient for
+    threshold checks). Used when a chord meets two circles, and for towers."""
     n = len(masks)
     best_size = 0
     best_set = 0
@@ -284,7 +274,7 @@ def _mis(masks, stop_at=None):
         if masks[v] & cand:
             rec(cand & ~(1 << v), size, chosen)
 
-    rec((1 << n) - 1, 0, 0)
+    rec(live, 0, 0)
     return best_size, best_set
 
 
@@ -313,19 +303,26 @@ def _bd_circle(seq, cap=None):
     return len(t[0])
 
 
-def _bd_raw(circles, pos, stop_at=None):
+def _bd_raw(circles, stop_at=None):
     """Boundary degree of raw circles, or a value >= stop_at once it
-    reaches stop_at; type I chords on different circles never interleave,
-    so without type II chords it is a sum per circle. One circle carries
-    type I chords only, so its pos is not read and may be None."""
-    if len(circles) == 1 or all(len(per) == 1 for per in pos.values()):
+    reaches stop_at. Chords on different circles never interleave, so if
+    no chord meets two circles it is a sum per circle; else the search runs
+    over the ids present on the ORed sweeps of the circles with a crossing."""
+    if len(circles) == 1:
+        return _bd_circle(circles[0], stop_at)
+    ids = set().union(*circles)
+    if sum(map(len, map(set, circles))) == len(ids):
         return sum(_bd_circle(seq, stop_at) for seq in circles)
-    return _mis(_adjacency_masks(pos), stop_at=stop_at)[0]
+    masks = [0] * (max(ids) + 1)
+    for seq in circles:
+        if len(seq) >= 4:  # fewer endpoints hold no crossing
+            masks = [a | b for a, b in zip(masks, _circle_masks(seq, len(masks))[0])]
+    return _mis(masks, sum(1 << i for i in ids), stop_at)[0]
 
 
 def boundary_degree(d):
     """Size of a maximum set of pairwise-nonintersecting chords."""
-    return _bd_raw(d.circles, d._pos)
+    return _bd_raw(d.circles)
 
 
 def _turns_at(seq, forward, backward):
@@ -450,17 +447,17 @@ def pigeonhole_ok(m, c):
 
 # -- 4-term move mechanics on raw circle lists ------------------------------
 
-def _move(circles, pos, circ, m_pos, fixed):
+def _move(circles, circ, m_pos, fixed):
     """One 4-term move of the endpoint at circles[circ][m_pos] across the
-    fixed chord, as (circles, added marks, sign) triples.
+    fixed chord's two endpoints there, as (circles, added marks, sign) triples.
 
-    pos, the position map, is read only on several circles. The near fixed
-    endpoint is the one next to the mover, the lower slot if both are. The
-    mover flips to the other side of it (+1), lands on its new side of the
-    far endpoint (+1), and on its old side of the far endpoint (-1). Unless
-    both chords lie on the moving circle alone (a clean version 1), the
-    error pair follows: the moving chord removed, one marker, +1, and the
-    same with an inert extra circle, -1.
+    The near fixed endpoint is the one next to the mover, the lower slot if
+    both are. The mover flips to the other side of it (+1), lands on its
+    new side of the far endpoint (+1), and on its old side of the far
+    endpoint (-1). If the fixed chord or the mover appears on another
+    circle (the move is not a clean version 1), the error pair follows:
+    the moving chord removed, one marker, +1, and the same with an inert
+    extra circle, -1.
     """
     seq = circles[circ]
     n = len(seq)
@@ -479,7 +476,8 @@ def _move(circles, pos, circ, m_pos, fixed):
         new = list(circles)
         new[circ] = rest[:at] + (mover,) + rest[at:]
         out.append((tuple(new), 0, sign))
-    if len(circles) > 1 and (len(pos[fixed]) > 1 or len(pos[mover]) > 1):
+    others = circles[:circ] + circles[circ + 1:]
+    if others and any(fixed in s or mover in s for s in others):
         stripped = tuple(tuple(tok for tok in s if tok != mover) for s in circles)
         out += [(stripped, 1, 1), (stripped + ((),), 1, -1)]
     return out
@@ -521,7 +519,7 @@ def four_term(d, fixed, moving, version):
         raise ValueError("configuration does not match version %d" % version)
     return DiagramSum(
         (ChordDiagram(new_circles, d.marks + added), sign)
-        for new_circles, added, sign in _move(d.circles, d._pos, circ, slot, fixed)
+        for new_circles, added, sign in _move(d.circles, circ, slot, fixed)
     )
 
 
@@ -537,17 +535,17 @@ def _arc(seq, s_ids, opener):
     return out
 
 
-def _next_move(circles, pos, plan, level):
+def _next_move(circles, plan, level):
     """The next sorting move on circle 0: (0, moving position, fixed chord
     id, plan). A state entering a level has no plan yet; it gets one here
     (tower, alpha arc, specials, their target order), and every term a move
     produces inherits it. Tower endpoints never move, so the plan names the
     alpha arc by the one that opens it, (token, 0 or 1 for its first or
-    second slot), and a move reads that arc alone. pos is not read."""
+    second slot), and a move reads that arc alone."""
     seq = circles[0]
     if plan is None:
-        masks, slots = _circle_masks(seq)
-        size, chosen = _mis(masks)
+        masks, slots = _circle_masks(seq, len(seq) // 2)
+        size, chosen = _mis(masks, (1 << len(masks)) - 1)
         if size != level - 1:
             raise RuntimeError("lift entered with wrong boundary degree")
         s_ids = frozenset(i for i in range(len(masks)) if chosen >> i & 1)
@@ -588,9 +586,9 @@ def _next_move(circles, pos, plan, level):
     return (0, prev, want, plan)  # bump the blocking nonspecial rightwards past `want`
 
 
-def _retired(circles, pos, marks, m, level):
+def _retired(circles, marks, m, level):
     """Whether a term leaves the rewriting: >= m marks or degree >= level."""
-    return marks >= m or _bd_raw(circles, pos, stop_at=level) >= level
+    return marks >= m or _bd_raw(circles, stop_at=level) >= level
 
 
 def _child_retired(seq, b, marks, m, level):
@@ -614,14 +612,14 @@ def _reduce(d, m, levels, next_move, max_steps):
     The frontier is keyed on the exact state (circles, marks, plan), so
     the paths that reach a state before it is taken have their
     coefficients summed and share one retirement or expansion; a state
-    whose coefficient cancels to 0 is dropped. next_move(circles,
-    pos, plan, level) is a pure function of the state and returns
-    (circle, moving position, fixed chord id, plan) or None when no move
-    applies, so by linearity neither the merging nor the order changes
-    the sum. max_steps bounds the number of expansions.
+    whose coefficient cancels to 0 is dropped. next_move(circles, plan,
+    level) is a pure function of the state and returns (circle, moving
+    position, fixed chord id, plan) or None when no move applies, so by
+    linearity neither the merging nor the order changes the sum.
+    max_steps bounds the number of expansions.
 
-    One-circle states carry no position map (pos is None), and those made
-    by a move record the moved chord for the cheaper _child_retired test.
+    States carry their raw circles only; one-circle states made by a move
+    record the moved chord for the cheaper _child_retired test.
     """
     done = {(d.circles, d.marks): 1}
     steps = 0
@@ -635,8 +633,7 @@ def _reduce(d, m, levels, next_move, max_steps):
             if not coeff:
                 continue
             circles, marks, plan = key
-            pos = _positions(circles) if len(circles) > 1 else None
-            if (_retired(circles, pos, marks, m, level) if mover is None
+            if (_retired(circles, marks, m, level) if mover is None
                     else _child_retired(circles[0], mover, marks, m, level)):
                 done[circles, marks] = done.get((circles, marks), 0) + coeff
                 continue
@@ -646,18 +643,18 @@ def _reduce(d, m, levels, next_move, max_steps):
                     "reduction exceeded the step budget; instance is beyond the "
                     "implemented desk-scale strategy"
                 )
-            move = next_move(circles, pos, plan, level)
+            move = next_move(circles, plan, level)
             if move is None:
                 # all chords pairwise noncrossing yet fewer than `level` of them;
                 # unreachable when the chord-count precondition holds
                 raise RuntimeError(
                     "stuck term with %d noncrossing chords and %d marks; "
                     "instance violates the chord-count precondition"
-                    % (len(pos), marks)
+                    % (len(set().union(*circles)), marks)
                 )
             circ, m_pos, fixed, plan = move
-            mover = circles[circ][m_pos] if pos is None else None
-            for new_circles, added, sign in _move(circles, pos, circ, m_pos, fixed):
+            mover = circles[circ][m_pos] if len(circles) == 1 else None
+            for new_circles, added, sign in _move(circles, circ, m_pos, fixed):
                 child = (new_circles, marks + added, plan)
                 frontier[child] = (frontier.get(child, (0,))[0] + sign * coeff, mover)
     return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in done.items())
@@ -675,7 +672,7 @@ def tower_reduce(d, m, c=2):
         raise ValueError("m must be a positive integer")
     if len(d.circles) != 1:
         raise ValueError("tower_reduce expects a single-circle diagram")
-    if _retired(d.circles, d._pos, d.marks, m, m):
+    if _retired(d.circles, d.marks, m, m):
         return DiagramSum({d: 1})
     if not pigeonhole_ok(m, c):
         raise ValueError("constant c=%d fails the pigeonhole bound for m=%d" % (c, m))
@@ -705,28 +702,29 @@ class ReductionLimits:
         return self.c * m ** 13
 
 
-def _find_multi_move(circles, pos, plan, level):
-    """A legal uncrossing move: (circle, moving pos, fixed id, None) or
-    None. Uncrossing keeps no plan, so plan and level are not read."""
-    ids = sorted(pos)
+def _find_multi_move(circles, plan, level):
+    """A legal uncrossing move at the first crossing pair a < b, in id
+    order, of the first circle with one: (circle, moving pos, fixed id,
+    None) or None. Uncrossing keeps no plan; plan and level are not read."""
     for x, seq in enumerate(circles):
-        on_x = [cid for cid in ids if len(pos[cid].get(x, ())) == 2]
-        for ai in range(len(on_x)):
-            for bi in range(ai + 1, len(on_x)):
-                a, b = on_x[ai], on_x[bi]
-                pa, pb = pos[a][x], pos[b][x]
-                if (pa[0] < pb[0] < pa[1]) == (pa[0] < pb[1] < pa[1]):
-                    continue
-                # b has exactly one endpoint inside a's interval: walk it out
-                q = pb[0] if pa[0] < pb[0] < pa[1] else pb[1]
-                nxt = (q + 1) % len(seq)
-                blocker = seq[nxt]
-                if blocker == a:
-                    return (x, q, a, None)
-                if len(pos[blocker].get(x, ())) == 2:
-                    return (x, q, blocker, None)
-                # blocker cannot anchor a move; bump it across b instead
-                return (x, nxt, b, None)
+        if len(seq) < 4:
+            continue
+        rows, slots = _circle_masks(seq, max(seq) + 1)
+        a = next((i for i, row in enumerate(rows) if row), None)
+        if a is None:
+            continue
+        b = (rows[a] & -rows[a]).bit_length() - 1  # the least id crossing a is > a
+        # b has exactly one endpoint inside a's interval: walk it out
+        (p, _), (q0, q1) = slots[a], slots[b]
+        q = q0 if q0 > p else q1
+        nxt = (q + 1) % len(seq)
+        blocker = seq[nxt]
+        if blocker == a:
+            return (x, q, a, None)
+        if len(slots[blocker]) == 2:
+            return (x, q, blocker, None)
+        # blocker cannot anchor a move; bump it across b instead
+        return (x, nxt, b, None)
     return None
 
 
@@ -748,7 +746,7 @@ def multi_tower_reduce(d, m, limits=None):
         limits = ReductionLimits()
     if len(d.circles) == 1:
         return tower_reduce(d, m, c=limits.c)
-    if _retired(d.circles, d._pos, d.marks, m, m):
+    if _retired(d.circles, d.marks, m, m):
         return DiagramSum({d: 1})
     if d.chord_count < limits.h(m):
         raise ValueError(

@@ -2,8 +2,9 @@
 
 Prints deterministic key=value blocks. Exit codes: 0 success, 1 domain
 error (a precondition of the requested operation fails, a reduction
-gets stuck or expands more states than --bound allows, or memory runs
-out), 2 parse error (unknown subcommand, malformed file or expression).
+gets stuck or expands more states than --bound allows, memory runs out,
+or stdout is closed early), 2 parse error (unknown subcommand, malformed
+file or expression).
 
     fticalc blink det FILE
     fticalc blink bracket FILE [--base M]
@@ -20,6 +21,7 @@ FILE may be '-' for stdin.
 
 import argparse
 import itertools
+import os
 import sys
 
 from . import chords, groupring, johnson, links, symplectic
@@ -233,7 +235,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # later flushes of stdout would fail again: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

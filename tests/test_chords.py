@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import cache
@@ -10,7 +11,6 @@ from fticalc.chords import (
     ChordDiagram,
     DiagramSum,
     ReductionLimits,
-    _adjacency_masks,
     _bd_circle,
     _bd_raw,
     _child_retired,
@@ -18,7 +18,6 @@ from fticalc.chords import (
     _mis,
     _move,
     _next_move,
-    _positions,
     _reduce,
     _retired,
     boundary_degree,
@@ -32,6 +31,9 @@ from fticalc.chords import (
 
 # figure fixture: three chords 1 2 1 3 2 3; chords 0-1 and 1-2 cross, 0-2 do not
 FIG = ChordDiagram([(0, 1, 0, 2, 1, 2)])
+
+# sha256 of test_multi_tower_reduce_golden's outputs
+GOLDEN_MULTI_REDUCE = "bde9856da6d63d7bc9c57cdcc6f6a46f6a302cc405c097f8516780ab93bbb599"
 
 
 def random_single_circle(rng, nchords):
@@ -55,6 +57,21 @@ def oracle_mis(d):
         if all(not cross[(a, b)] for a, b in combinations(members, 2)):
             best = len(members)
     return best
+
+
+def crossing_rows(seq, n):
+    """The 1212 test on one circle, pair by pair: bit j of row i is set iff
+    chords i and j both have two endpoints here and exactly one endpoint of
+    j lies between those of i. Also each chord id's slots here."""
+    at = {}
+    for p, tok in enumerate(seq):
+        at.setdefault(tok, []).append(p)
+    rows = [0] * n
+    both = [(tok, ps) for tok, ps in at.items() if len(ps) == 2]
+    for (i, (p, q)), (j, (r, s)) in permutations(both, 2):
+        if (p < r < q) != (p < s < q):
+            rows[i] |= 1 << j
+    return rows, [at.get(i, []) for i in range(n)]
 
 
 def test_intersect_examples():
@@ -100,7 +117,8 @@ def test_boundary_degree_matches_oracle():
     # the interval DP against the exact search on the crossing graph
     for _ in range(200):
         d = random_single_circle(rng, rng.randint(15, 40))
-        assert boundary_degree(d) == _mis(_adjacency_masks(d._pos))[0]
+        n = d.chord_count
+        assert boundary_degree(d) == _mis(crossing_rows(d.circles[0], n)[0], (1 << n) - 1)[0]
     # type I chords only, spread over 2-3 circles
     for _ in range(40):
         circles = [[] for _ in range(rng.randint(2, 3))]
@@ -158,7 +176,7 @@ def test_bd_circle_stops_at_cap():
         d = ChordDiagram(circles)
         exact = oracle_mis(d)
         for stop_at in range(5):
-            got = _bd_raw(d.circles, d._pos, stop_at)
+            got = _bd_raw(d.circles, stop_at)
             assert got == exact if exact < stop_at else stop_at <= got <= exact
 
 
@@ -406,7 +424,7 @@ def test_four_term_two_chord_collapse():
 def test_four_term_hop_inverts():
     # applying the move and then hopping back telescopes exactly
     base = ChordDiagram([(0, 1, 2, 0, 3, 1, 2, 3)])
-    hopped = ChordDiagram(_move(base.circles, base._pos, 0, 4, 0)[0][0])
+    hopped = ChordDiagram(_move(base.circles, 0, 4, 0)[0][0])
     s1 = four_term(base, 0, (0, 4), 1)
     s2 = four_term(hopped, 0, (0, 3), 1)
     assert s1 + s2 == DiagramSum({base: 1}) + DiagramSum({hopped: 1})
@@ -416,7 +434,7 @@ def test_move_near_endpoint_is_the_lower_slot():
     # the mover (chord 1, slot 1) touches both endpoints of chord 0 (slots
     # 0 and 2); slot 0 is the near endpoint and the mover sits after it
     circles = ((0, 1, 0, 2, 1, 2),)
-    assert _move(circles, ChordDiagram(circles)._pos, 0, 1, 0) == [
+    assert _move(circles, 0, 1, 0) == [
         (((1, 0, 0, 2, 1, 2),), 0, 1),
         (((0, 1, 0, 2, 1, 2),), 0, 1),
         (((0, 0, 1, 2, 1, 2),), 0, -1),
@@ -427,7 +445,7 @@ def test_move_version_two_error_pair():
     # chord 0 (type I) moves across chord 1 (type II, slots 1 and 4); the
     # mover sits before its near endpoint, slot 1
     circles = ((0, 1, 2, 0, 1, 2), (1, 1))
-    assert _move(circles, ChordDiagram(circles)._pos, 0, 0, 1) == [
+    assert _move(circles, 0, 0, 1) == [
         (((1, 0, 2, 0, 1, 2), (1, 1)), 0, 1),
         (((1, 2, 0, 1, 0, 2), (1, 1)), 0, 1),
         (((1, 2, 0, 0, 1, 2), (1, 1)), 0, -1),
@@ -639,16 +657,93 @@ def test_tower_reduce_m4_star128():
     assert all(boundary_degree(term) >= 4 for term in s.terms)
 
 
+def move_options(circles):
+    """Every (circle, moving slot, fixed chord) that _move accepts: a chord
+    with two endpoints on the circle and an endpoint of another chord next
+    to one of them."""
+    out = []
+    for c, seq in enumerate(circles):
+        n = len(seq)
+        for fixed in sorted(set(seq)):
+            ends = [p for p in range(n) if seq[p] == fixed]
+            if len(ends) == 2:
+                out += [(c, (p + step) % n, fixed) for p in ends for step in (-1, 1)
+                        if seq[(p + step) % n] != fixed]
+    return out
+
+
+def multi_circle_states(rng, count):
+    """count seeded multi-circle random diagrams, each followed by the
+    terms of one random move on it, as raw circles."""
+    states = []
+    while count:
+        d = random_diagram(rng)
+        options = move_options(d.circles)
+        if len(d.circles) > 1 and options:
+            count -= 1
+            states.append(d.circles)
+            states += [child for child, _, _ in _move(d.circles, *rng.choice(options))]
+    return states
+
+
 def test_circle_masks_match_pairwise_interleave():
     rng = random.Random(116)
     cases = [(), (0, 0)] + [random_single_circle(rng, rng.randint(1, 40)).circles[0]
                             for _ in range(300)]
     cases += [perturbed_star(rng, rng.randint(2, 60)) for _ in range(40)]
     for seq in cases:
-        pos = _positions((seq,))
-        masks, slots = _circle_masks(seq)
-        assert masks == _adjacency_masks(pos)
-        assert slots == [pos[i][0] for i in range(len(pos))]
+        assert _circle_masks(seq, len(seq) // 2) == crossing_rows(seq, len(seq) // 2)
+    # every circle of multi-circle states: chords with one endpoint on a
+    # circle, type II chords, and the id gaps an error term leaves
+    one_end = crossing = gaps = type2 = 0
+    for circles in multi_circle_states(rng, 200):
+        ids = {tok for seq in circles for tok in seq}
+        n = max(ids, default=-1) + 1
+        for seq in circles:
+            rows, slots = crossing_rows(seq, n)
+            assert _circle_masks(seq, n) == (rows, slots)
+            one_end += any(len(ps) == 1 for ps in slots)
+            crossing += any(rows)
+        gaps += len(ids) < n
+        type2 += any(sum(seq.count(t) == 2 for seq in circles) == 2 for t in ids)
+    assert min(one_end, crossing, gaps, type2) > 50
+
+
+def test_bd_raw_on_multi_circle_states():
+    """_bd_raw on raw states, ids with gaps included, against the brute
+    force on the relabelled diagram."""
+    assert _bd_raw(((), (0, 0), (0, 0, 2, 2), (), ())) == 2
+    rng = random.Random(157)
+    for circles in multi_circle_states(rng, 200):
+        exact = oracle_mis(ChordDiagram(circles))
+        assert _bd_raw(circles) == exact
+        for stop_at in range(1, 4):
+            got = _bd_raw(circles, stop_at)
+            assert got == exact if exact < stop_at else stop_at <= got <= exact
+
+
+def test_multi_tower_reduce_golden():
+    """The sorted term list, or the error message, of multi_tower_reduce at
+    m = 1, 2, 3 on 400 seeded multi-circle diagrams, hashed: it pins every
+    move, retirement test and message of the multi-circle engine."""
+    rng = random.Random(163)
+    digest, outcomes, count = hashlib.sha256(), set(), 0
+    while count < 400:
+        d = random_diagram(rng)
+        if len(d.circles) == 1:
+            continue
+        count += 1
+        for m in (1, 2, 3):
+            try:
+                s = multi_tower_reduce(d, m, ReductionLimits(c=0, max_steps=200))
+                out = repr([(t.circles, t.marks, co) for t, co in s.items()])
+                outcomes.add("reduced")
+            except RuntimeError as exc:
+                out = str(exc)
+                outcomes.add(out.split(";")[0].split(" with ")[0])
+            digest.update(b"%d %s\n" % (m, out.encode()))
+    assert outcomes == {"reduced", "reduction exceeded the step budget", "stuck term"}
+    assert digest.hexdigest() == GOLDEN_MULTI_REDUCE
 
 
 def test_child_retired_matches_retired():
@@ -661,16 +756,16 @@ def test_child_retired_matches_retired():
         n = len(seq)
         level, m = rng.randint(2, 4), rng.randint(1, 5)
         marks = rng.randint(0, m - 1)
-        if _retired((seq,), None, marks, m, level):
+        if _retired((seq,), marks, m, level):
             continue
         for _ in range(4):
             fixed = rng.choice(seq)
             slots = [p for p in range(n) if seq[p] == fixed]
             slot = rng.choice([(p + step) % n for p in slots for step in (-1, 1)
                                if seq[(p + step) % n] != fixed])
-            for child, added, _sign in _move((seq,), None, 0, slot, fixed):
+            for child, added, _sign in _move((seq,), 0, slot, fixed):
                 assert added == 0
-                full = _retired(child, None, marks, m, level)
+                full = _retired(child, marks, m, level)
                 assert _child_retired(child[0], seq[slot], marks, m, level) == full
                 tested.append((full, level))
     # a child at level 2 always retires: its parent is a star, and the mover
@@ -683,7 +778,7 @@ def pairwise_plan(seq, level):
     """The tower plan as built from pairwise crossings and every arc:
     (tower, slot of the alpha arc's opening endpoint, specials, target)."""
     n = len(seq)
-    size, chosen = _mis(_adjacency_masks(_positions((seq,))))
+    size, chosen = _mis(crossing_rows(seq, n // 2)[0], (1 << n // 2) - 1)
     assert size == level - 1
     tower = frozenset(i for i in range(n // 2) if chosen >> i & 1)
     bpos = [p for p in range(n) if seq[p] in tower]
@@ -717,8 +812,8 @@ def test_tower_plans_match_pairwise_build():
     rng = random.Random(116)
     plans = []
 
-    def checked(circles, pos, plan, level):
-        move = _next_move(circles, pos, plan, level)
+    def checked(circles, plan, level):
+        move = _next_move(circles, plan, level)
         if plan is None:
             assert opener_plan(circles[0], move[3]) == pairwise_plan(circles[0], level)
             plans.append(level)
@@ -743,7 +838,7 @@ def test_tower_plans_match_pairwise_build():
         seq = ChordDiagram([seq[r:] + seq[:r]]).circles[0]
         level = _bd_circle(seq) + 1
         try:
-            plan = _next_move((seq,), None, None, level)[3]
+            plan = _next_move((seq,), None, level)[3]
         except (RuntimeError, ValueError):  # no pigeonhole arc pair, or no chord off the tower
             continue
         assert opener_plan(seq, plan) == pairwise_plan(seq, level)

@@ -301,6 +301,21 @@ def test_out_of_memory_exit_1():
     assert proc.stderr == "error: out of memory\n"
 
 
+def test_closed_stdout_exit_1(tmp_path):
+    # 2^14 bracket terms outgrow the pipe buffer, so a write fails once the
+    # reader has closed its end
+    path = write(tmp_path, "b.blink", "pairs=14\n" + "".join("eps %d 1\n" % p for p in range(14)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fticalc.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "fticalc", "blink", "bracket", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"terms=16384\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert b"Traceback" not in err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bad.blink", "nonsense\n")
     status, _, err = run(capsys, ["blink", "det", path])
