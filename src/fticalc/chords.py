@@ -1,10 +1,12 @@
 """Multi-circle chord diagrams, the 4-term rewriting moves and tower
 reduction.
 
-A diagram is a set of circles, each carrying a cyclic sequence of chord
-endpoints, plus a count of accumulated blink error markers. Chords are
-type I (two endpoints, on one circle or one on each of two) or type II
-(four endpoints, two on each of two distinct circles). Two chords
+A diagram is its circles, each a cyclic sequence of chord endpoints, and
+its marks, a count of accumulated blink error markers; it stores nothing
+else. Chords are type I (two endpoints, on one circle or one on each of
+two) or type II (four endpoints, two on each of two distinct circles).
+_positions states these rules and checks them: it builds the map chord ->
+circle -> slots, and every reader of positions builds it there. Two chords
 intersect when some circle carries two endpoints of each in interleaved
 (1212) cyclic order; the boundary degree is the size of a largest
 pairwise-nonintersecting chord set: an O(N * bd) interval DP per circle,
@@ -61,9 +63,11 @@ Three rules cut the rows tried from a state without losing the least:
   arc and run along it. A token whose chord ends on another circle never
   repeats in the row, so on a circle where no token repeats every turn
   reads the same and all of them are tried.
-The winning rows are already labelled by first appearance and carry the
-chords of a validated diagram, so the result is built without a second
-relabelling or validation.
+canonicalize builds, and so checks, the position map of its input, so
+the engine hands its raw states to DiagramSum unchecked. The winning rows
+are already labelled by first appearance and carry the chords of a
+checked diagram, so the result is built without a second relabelling or
+check.
 
 Diagram text format:
 
@@ -89,13 +93,15 @@ from ._records import read
 
 
 class ChordDiagram:
-    """Circles of chord endpoints plus a blink error marker count.
+    """A diagram is its circles of chord endpoints and its count of blink
+    error markers; nothing derived is stored.
 
     Chord labels are normalized to 0..n-1 in order of first appearance
-    along the circles, so structural equality is label-independent.
+    along the circles, so structural equality is label-independent. The
+    constructor checks the endpoint rules through _positions.
     """
 
-    __slots__ = ("circles", "marks", "_pos")
+    __slots__ = ("circles", "marks")
 
     def __init__(self, circles, marks=0):
         raw = [list(c) for c in circles]
@@ -110,21 +116,21 @@ class ChordDiagram:
         self.marks = int(marks)
         if self.marks < 0:
             raise ValueError("marks must be nonnegative")
-        self._pos = _positions(self.circles)
-        _validate_positions(self._pos)
+        _positions(self.circles)
 
     @property
     def chord_count(self):
-        return len(self._pos)
+        return len(set().union(*self.circles))
 
     def chord_ids(self):
         return range(self.chord_count)
 
     def endpoints(self, cid):
         """All (circle, slot) positions of a chord."""
-        if cid not in self._pos:
+        pos = _positions(self.circles)
+        if cid not in pos:
             raise ValueError("unknown chord id %r" % (cid,))
-        return tuple((c, p) for c, ps in self._pos[cid].items() for p in ps)
+        return tuple((c, p) for c, ps in pos[cid].items() for p in ps)
 
     def chord_type(self, cid):
         return "I" if len(self.endpoints(cid)) == 2 else "II"
@@ -144,12 +150,12 @@ class ChordDiagram:
 
     def to_text(self):
         lines = ["circles %d" % len(self.circles)]
-        for cid in sorted(self._pos):
-            pts = self.endpoints(cid)
+        for per in _positions(self.circles).values():  # label order: first appearance
+            pts = [(c, p) for c, ps in per.items() for p in ps]
             if len(pts) == 2:
                 lines.append("I %d:%d %d:%d" % (pts[0] + pts[1]))
             else:
-                (c0, ps0), (c1, ps1) = self._pos[cid].items()
+                (c0, ps0), (c1, ps1) = per.items()
                 lines.append(
                     "II %d:%s %d:%s"
                     % (c0, ",".join(map(str, ps0)), c1, ",".join(map(str, ps1)))
@@ -185,31 +191,22 @@ class ChordDiagram:
 
 def _positions(circles):
     """The position map: chord id -> {circle: [slots in increasing order]},
-    with circles in increasing order."""
+    with circles in increasing order. Raises ValueError unless every chord
+    has two endpoints (type I) or two on each of two distinct circles (type II)."""
     pos = {}
     for c, seq in enumerate(circles):
         for p, tok in enumerate(seq):
             pos.setdefault(tok, {}).setdefault(c, []).append(p)
-    return pos
-
-
-def _validate_positions(pos):
     for cid, per in pos.items():
         counts = [len(ps) for ps in per.values()]
         total = sum(counts)
-        if total == 2:
-            continue
-        if total == 4:
-            if len(per) != 2:
-                raise ValueError(
-                    "type II chord %r must meet exactly two distinct circles" % cid
-                )
-            if counts != [2, 2]:
-                raise ValueError(
-                    "type II chord %r needs two endpoints per circle" % cid
-                )
-            continue
-        raise ValueError("chord %r has %d endpoints" % (cid, total))
+        if total == 4 and len(per) != 2:
+            raise ValueError("type II chord %r must meet exactly two distinct circles" % cid)
+        if total == 4 and counts != [2, 2]:
+            raise ValueError("type II chord %r needs two endpoints per circle" % cid)
+        if total not in (2, 4):
+            raise ValueError("chord %r has %d endpoints" % (cid, total))
+    return pos
 
 
 def _interleave(pa, pb):
@@ -228,10 +225,10 @@ def chords_intersect(d, c1, c2):
     """Whether two chords interleave (1212) on some shared circle."""
     if c1 == c2:
         raise ValueError("chords must be distinct")
-    n = d.chord_count
-    if not (0 <= c1 < n and 0 <= c2 < n):
+    pos = _positions(d.circles)
+    if not (0 <= c1 < len(pos) and 0 <= c2 < len(pos)):
         raise ValueError("unknown chord id")
-    return _interleave(d._pos[c1], d._pos[c2])
+    return _interleave(pos[c1], pos[c2])
 
 
 def _circle_masks(seq, n):
@@ -375,8 +372,10 @@ def canonicalize(d):
     such label (a fresh token would number higher), at one of its slots
     on that circle, running either way. Otherwise every unused token is
     fresh, so the rows that repeat a token soonest win: the first turns
-    of every unused circle, or all its turns if no token repeats on it."""
-    circles, pos = d.circles, d._pos
+    of every unused circle, or all its turns if no token repeats on it.
+    d may be any labelling, such as a raw engine state: building its
+    position map checks it."""
+    circles, pos = d.circles, _positions(d.circles)
     empty = [i for i, seq in enumerate(circles) if not seq]
     rows = [()] * len(empty)
     fresh = {i: _first_turns(seq) for i, seq in enumerate(circles) if seq}
@@ -396,7 +395,7 @@ def canonicalize(d):
         rows.append(best)
         states = kept
     rows = tuple(rows)
-    return lc.new(ChordDiagram, circles=rows, marks=d.marks, _pos=_positions(rows))
+    return lc.new(ChordDiagram, circles=rows, marks=d.marks)
 
 
 class DiagramSum:
@@ -496,15 +495,14 @@ def four_term(d, fixed, moving, version):
     circ, slot = moving
     if not (0 <= circ < len(d.circles) and 0 <= slot < len(d.circles[circ])):
         raise ValueError("moving endpoint out of range")
-    mover = d.circles[circ][slot]
-    if not 0 <= fixed < d.chord_count:
+    mover, pos = d.circles[circ][slot], _positions(d.circles)
+    if not 0 <= fixed < len(pos):
         raise ValueError("unknown chord id %r" % (fixed,))
     if mover == fixed:
         raise ValueError("moving endpoint belongs to the fixed chord")
-    fixed_circles = set(d._pos[fixed])
-    mover_circles = set(d._pos[mover])
-    fixed_type = d.chord_type(fixed)
-    mover_type = d.chord_type(mover)
+    fixed_circles, mover_circles = set(pos[fixed]), set(pos[mover])
+    fixed_type = "I" if sum(map(len, pos[fixed].values())) == 2 else "II"
+    mover_type = "I" if sum(map(len, pos[mover].values())) == 2 else "II"
     if version == 1:
         ok = (fixed_type == "I" and fixed_circles == {circ}
               and mover_type == "I" and mover_circles == {circ})
@@ -518,7 +516,7 @@ def four_term(d, fixed, moving, version):
     if not ok:
         raise ValueError("configuration does not match version %d" % version)
     return DiagramSum(
-        (ChordDiagram(new_circles, d.marks + added), sign)
+        (lc.new(ChordDiagram, circles=new_circles, marks=d.marks + added), sign)
         for new_circles, added, sign in _move(d.circles, circ, slot, fixed)
     )
 
@@ -619,7 +617,8 @@ def _reduce(d, m, levels, next_move, max_steps):
     max_steps bounds the number of expansions.
 
     States carry their raw circles only; one-circle states made by a move
-    record the moved chord for the cheaper _child_retired test.
+    record the moved chord for the cheaper _child_retired test. The retired
+    states go to DiagramSum as they are, and canonicalize checks them.
     """
     done = {(d.circles, d.marks): 1}
     steps = 0
@@ -657,7 +656,8 @@ def _reduce(d, m, levels, next_move, max_steps):
             for new_circles, added, sign in _move(circles, circ, m_pos, fixed):
                 child = (new_circles, marks + added, plan)
                 frontier[child] = (frontier.get(child, (0,))[0] + sign * coeff, mover)
-    return DiagramSum((ChordDiagram(c, mk), co) for (c, mk), co in done.items())
+    return DiagramSum((lc.new(ChordDiagram, circles=c, marks=mk), co)
+                      for (c, mk), co in done.items())
 
 
 def tower_reduce(d, m, c=2):

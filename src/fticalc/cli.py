@@ -134,10 +134,7 @@ def cmd_johnson_triple(args):
 
 
 def cmd_magnus_degree(args):
-    try:
-        word = groupring.parse_word(args.word)
-    except ValueError as exc:
-        raise CliParseError("bad word: %s" % exc)
+    word = _parse_with(groupring.parse_word, args.word, "word")
     series = groupring.magnus(word, args.N)
     deg = groupring.iadic_degree(series)
     print("degree=%s" % (">=%d" % (args.N + 1) if deg is None else deg))

@@ -133,20 +133,22 @@ def test_criterion_3_filtration_promotion():
 
 
 def _transvection_product_oracle(lat, data):
-    """Independent multiplier: right-multiply by I + sign * v (v^T J)
-    using sparse column updates instead of full matrix products."""
+    """Independent multiplier: right-multiply by I + sign * v (v^T J), that
+    is, add (M v) (sign * v^T J) to the columns of M, reading the nonzeros
+    of J once and touching only the support of each v."""
     n = lat.dim
-    j = lat.pairing_matrix()
-    m = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
+    j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in lat.pairing_matrix()]
+    cols = [[1 if i == k else 0 for i in range(n)] for k in range(n)]  # the columns of M
     for v, sign in data:
-        w = [sum(v[r] * j[r][c] for r in range(n)) for c in range(n)]
-        mv = [sum(m[i][r] * v[r] for r in range(n) if v[r]) for i in range(n)]
-        for c in range(n):
-            if w[c]:
-                s = sign * w[c]
-                for i in range(n):
-                    m[i][c] += s * mv[i]
-    return tuple(tuple(row) for row in m)
+        support = [(r, x) for r, x in enumerate(v) if x]
+        mv = [0] * n
+        for r, x in support:
+            mv = [a + x * b for a, b in zip(mv, cols[r])]
+        for r, x in support:
+            for c, y in j_rows[r]:
+                s = sign * x * y
+                cols[c] = [a + s * b for a, b in zip(cols[c], mv)]
+    return tuple(zip(*cols))
 
 
 def test_criterion_4_block_composition_and_realization():

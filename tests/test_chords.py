@@ -7,6 +7,7 @@ from math import inf
 
 import pytest
 
+from fticalc import _lincomb as lc
 from fticalc.chords import (
     ChordDiagram,
     DiagramSum,
@@ -18,6 +19,7 @@ from fticalc.chords import (
     _mis,
     _move,
     _next_move,
+    _positions,
     _reduce,
     _retired,
     boundary_degree,
@@ -288,9 +290,10 @@ def test_canonicalize_matches_brute_force():
     rng = random.Random(113)
     diagrams = [random_diagram(rng) for _ in range(300)]
     assert max(len(d.circles) for d in diagrams) == 5
-    assert any(sum(len(per) > 1 for per in d._pos.values()) == 3 for d in diagrams)
-    assert any(sum(len(ps) == 1 for per in d._pos.values() for ps in per.values()) == 4
-               for d in diagrams)
+    maps = [_positions(d.circles) for d in diagrams]
+    assert any(sum(len(per) > 1 for per in pos.values()) == 3 for pos in maps)
+    assert any(sum(len(ps) == 1 for per in pos.values() for ps in per.values()) == 4
+               for pos in maps)
     # a nonempty circle on which no token repeats
     assert any(seq and len(set(seq)) == len(seq) for d in diagrams for seq in d.circles)
     for d in diagrams:
@@ -383,17 +386,40 @@ def test_canonicalize_first_turns_match_brute_force():
 
 
 def test_canonicalize_builds_a_valid_diagram():
-    # canonicalize skips ChordDiagram.__init__; its result must be the one
-    # the constructor builds from the same rows
+    # canonicalize skips ChordDiagram.__init__, and the engine hands it raw
+    # states: its result must be the one the constructor builds from the
+    # same rows, and a malformed input must still raise
     rng = random.Random(131)
     diagrams = [ChordDiagram([perturbed_star(rng, rng.randint(3, 30))]) for _ in range(20)]
     diagrams += [ChordDiagram([tuple(range(n)) * 2], marks=n % 3) for n in range(6)]
     diagrams += [random_diagram(rng) for _ in range(200)]
-    assert any(len(per) > 1 for d in diagrams for per in d._pos.values())
-    for d in diagrams:
-        c = canonicalize(d)
-        built = ChordDiagram(c.circles, c.marks)
-        assert (c.circles, c.marks, c._pos) == (built.circles, built.marks, built._pos)
+    assert any(len(per) > 1 for d in diagrams for per in _positions(d.circles).values())
+    terms = [canonicalize(d) for d in diagrams]
+    terms += tower_reduce(ChordDiagram([perturbed_star(rng, 54)]), 3).terms
+    for n in (16, 20, 24):
+        terms += tower_reduce(ChordDiagram([perturbed_star(rng, n)]), 2).terms
+    multi, versions = 0, []
+    for d in diagrams[26:]:
+        if len(d.circles) > 1 and multi < 40:
+            try:
+                terms += multi_tower_reduce(d, 2, ReductionLimits(c=0, max_steps=200)).terms
+                multi += 1
+            except RuntimeError:
+                pass
+        for circ, slot, fixed in move_options(d.circles)[:3]:
+            for version in (1, 2, 3):
+                try:
+                    terms += four_term(d, fixed, (circ, slot), version).terms
+                    versions.append(version)
+                except ValueError:
+                    pass
+    assert multi == 40 and min(map(versions.count, (1, 2, 3))) > 20
+    assert any(t.marks > 0 for t in terms)
+    for t in terms:
+        built = ChordDiagram(t.circles, t.marks)
+        assert (t.circles, t.marks) == (built.circles, built.marks)
+    with pytest.raises(ValueError):
+        canonicalize(lc.new(ChordDiagram, circles=((0, 1, 0),), marks=0))
 
 
 def test_pigeonhole_examples():

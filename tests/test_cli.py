@@ -321,7 +321,7 @@ def test_parse_error_exit_2(tmp_path, capsys):
     status, _, err = run(capsys, ["blink", "det", path])
     assert status == 2
     status, _, err = run(capsys, ["magnus", "degree", "zz", "--N", "3"])
-    assert status == 2
+    assert (status, err) == (2, "parse error: bad word: unexpected character 'z'\n")
     status, _, err = run(capsys, ["sp", "realize", "--C", "1 2;3"])
     assert status == 2
     for argv, text in (
