@@ -10,9 +10,10 @@ circle -> slots, and every reader of positions builds it there. Two chords
 intersect when some circle carries two endpoints of each in interleaved
 (1212) cyclic order; the boundary degree is the size of a largest
 pairwise-nonintersecting chord set: an O(N * bd) interval DP per circle,
-which a retirement test stops at its level, if no chord meets two
-circles, else a branch-and-bound search on the crossing graph, the OR of
-one prefix-XOR sweep per circle with rows indexed by chord id.
+which a retirement test stops at its level (a closed form at caps 1 and
+2), if no chord meets two circles, else a branch-and-bound search on the
+crossing graph, the OR of one prefix-XOR sweep per circle with rows
+indexed by chord id.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -259,14 +260,14 @@ def _mis(masks, live, stop_at=None):
         nonlocal best_size, best_set
         if stop_at is not None and best_size >= stop_at:
             return
-        if size + bin(cand).count("1") <= best_size:
+        if size + cand.bit_count() <= best_size:
             return
         if cand == 0:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
         live = [i for i in range(n) if cand >> i & 1]
-        v = max(live, key=lambda i: bin(masks[i] & cand).count("1"))
+        v = max(live, key=lambda i: (masks[i] & cand).bit_count())
         rec(cand & ~(masks[v] | (1 << v)), size + 1, chosen | (1 << v))
         if masks[v] & cand:
             rec(cand & ~(1 << v), size, chosen)
@@ -281,8 +282,21 @@ def _bd_circle(seq, cap=None):
     slots [i, j) hold v noncrossing chords, so t[i] is nondecreasing. With
     k > i the partner of i, it is t[i+1] except that the a chords inside
     (i, k) and (i, k) itself end at k+1, and each further chord ends at the
-    sooner of t[i+1] and t[k+1]. Cut to cap entries: O(N * min(bd, cap))."""
+    sooner of t[i+1] and t[k+1]. Cut to cap entries: O(N * min(bd, cap)).
+
+    A cap <= 2 has a closed form instead. With k = N/2 chords, bd >= 1 iff
+    k >= 1, and bd >= 2 iff k >= 2 and the circle is not a star (k pairwise
+    crossing chords). A chord of a star has one endpoint of every other
+    chord on each side, so it splits the other 2k - 2 endpoints k-1 / k-1
+    and its partner slot is k away; conversely chords at slots (p, p + k)
+    and (p', p' + k) with p < p' < k interleave. So seq is a star iff
+    seq[:k] == seq[k:], one comparison for a list or a tuple."""
     n = len(seq)
+    if cap is not None and cap <= 2:
+        k = n // 2
+        if cap < 2 or k < 2:
+            return min(k, cap)
+        return 1 if seq[:k] == seq[k:] else 2
     partner, first = [0] * n, {}
     for p, tok in enumerate(seq):
         q = first.setdefault(tok, p)
@@ -594,7 +608,8 @@ def _child_retired(seq, b, marks, m, level):
     parent of degree < level. A noncrossing set without b lies in
     child - b = parent - b, so bd(child - b) = bd(parent - b) < level, and
     the child retires iff b with the chords that do not cross it (both
-    ends on one side of b) reach level."""
+    ends on one side of b) reach level. At levels 2 and 3 _bd_circle
+    answers in closed form (see its docstring)."""
     lo = seq.index(b)
     hi = seq.index(b, lo + 1)
     gone = set(seq[lo + 1:hi]).intersection(seq[hi + 1:] + seq[:lo])

@@ -45,13 +45,13 @@ class SymplecticLattice:
         """Basis vector e_i, 1 <= i <= g."""
         if not 1 <= i <= self.genus:
             raise ValueError("e index out of range")
-        return tuple(1 if k == i - 1 else 0 for k in range(self.dim))
+        return (0,) * (i - 1) + (1,) + (0,) * (self.dim - i)
 
     def f(self, i):
         """Dual basis vector f_i (= e'_i), with <e_i, f_i> = 1."""
         if not 1 <= i <= self.genus:
             raise ValueError("f index out of range")
-        return tuple(1 if k == self.genus + i - 1 else 0 for k in range(self.dim))
+        return (0,) * (self.genus + i - 1) + (1,) + (0,) * (self.genus - i)
 
     def pairing_matrix(self):
         g = self.genus
@@ -233,12 +233,9 @@ class SpMatrix:
             raise ValueError("block must be g x g")
         if any(c[i][j] != c[j][i] for i in range(g) for j in range(g)):
             raise ValueError("block must be symmetric")
-        rows = []
-        for i in range(g):
-            rows.append(tuple(1 if k == i else 0 for k in range(g)) + tuple(map(int, c[i])))
-        for i in range(g):
-            rows.append(tuple(0 for _ in range(g)) + tuple(1 if k == i else 0 for k in range(g)))
-        return lc.new(cls, lat=lat, entries=tuple(rows))
+        unit = la.identity(g)
+        rows = tuple(u + tuple(map(int, r)) for u, r in zip(unit, c))
+        return lc.new(cls, lat=lat, entries=rows + tuple((0,) * g + u for u in unit))
 
     def block_c(self):
         """The C block if the matrix has the form [[I, C], [0, I]], else None."""

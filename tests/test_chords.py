@@ -180,6 +180,21 @@ def test_bd_circle_stops_at_cap():
         for stop_at in range(5):
             got = _bd_raw(d.circles, stop_at)
             assert got == exact if exact < stop_at else stop_at <= got <= exact
+    # caps 1 and 2 have a closed form (a star is the one circle of >= 2 chords
+    # with degree 1): relabelled stars rotated and reflected, reflected
+    # perturbed stars and every circle of 0-2 chords, as lists and as tuples
+    closed = []
+    for k in range(2, 41):
+        star = rng.sample(range(k), k) * 2
+        for r in {0, 1, k - 1, k, rng.randrange(2 * k)}:
+            turn = star[r:] + star[:r]
+            closed += [turn, turn[::-1]]
+    closed += [list(perturbed_star(rng, rng.randint(2, 40)))[::-1] for _ in range(30)]
+    closed += [[], [0, 0]] + [list(p) for p in set(permutations((0, 0, 1, 1)))]
+    for seq in closed:
+        exact = interval_oracle(seq)
+        for cap in (1, 2):
+            assert _bd_circle(seq, cap) == _bd_circle(tuple(seq), cap) == min(exact, cap)
 
 
 def interval_oracle(seq):
@@ -793,6 +808,7 @@ def test_child_retired_matches_retired():
             for child, added, _sign in _move((seq,), 0, slot, fixed):
                 assert added == 0
                 full = _retired(child, marks, m, level)
+                assert full == (marks >= m or interval_oracle(child[0]) >= level)
                 assert _child_retired(child[0], seq[slot], marks, m, level) == full
                 tested.append((full, level))
     # a child at level 2 always retires: its parent is a star, and the mover
