@@ -27,6 +27,13 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def is_symmetric(m):
+    """Whether m is square and equal to its transpose. zip yields one tuple
+    per column, cut at the shortest row, so a ragged or non-square m
+    compares unequal."""
+    return tuple(map(tuple, m)) == tuple(zip(*m))
+
+
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
@@ -55,7 +62,7 @@ def det(m):
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     a = [list(row) for row in m]
-    sym = n > 1 and m[0][1] == m[1][0] and tuple(map(tuple, m)) == tuple(zip(*m))
+    sym = n > 1 and m[0][1] == m[1][0] and is_symmetric(m)
     sign = 1
     prev = 1
     for k in range(n - 1):

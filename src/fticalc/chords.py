@@ -210,26 +210,15 @@ def _positions(circles):
     return pos
 
 
-def _interleave(pa, pb):
-    """Whether two chords, given as {circle: slots}, interleave (1212) on
-    some circle that carries two endpoints of each."""
-    for c in pa.keys() & pb.keys():
-        if len(pa[c]) == 2 and len(pb[c]) == 2:
-            p1, p2 = pa[c]
-            q1, q2 = pb[c]
-            if (p1 < q1 < p2) != (p1 < q2 < p2):
-                return True
-    return False
-
-
 def chords_intersect(d, c1, c2):
-    """Whether two chords interleave (1212) on some shared circle."""
+    """Whether two chords interleave (1212) on some shared circle: a bit of
+    that circle's crossing row."""
     if c1 == c2:
         raise ValueError("chords must be distinct")
-    pos = _positions(d.circles)
-    if not (0 <= c1 < len(pos) and 0 <= c2 < len(pos)):
+    n = d.chord_count
+    if not (0 <= c1 < n and 0 <= c2 < n):
         raise ValueError("unknown chord id")
-    return _interleave(pos[c1], pos[c2])
+    return any(_circle_masks(seq, n)[0][c1] >> c2 & 1 for seq in d.circles)
 
 
 def _circle_masks(seq, n):

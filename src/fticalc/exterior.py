@@ -191,25 +191,23 @@ def _wedge_terms(factors):
     return terms
 
 
-def wedge(factors, dim=None):
+def wedge(factors):
     """Alternating product of 2 or 3 coordinate vectors."""
     factors = [tuple(v) for v in factors]
     if len(factors) not in (2, 3):
         raise ValueError("wedge takes 2 or 3 factors")
-    if dim is None:
-        dim = len(factors[0])
+    dim = len(factors[0])
     if any(len(v) != dim for v in factors):
         raise ValueError("factor length mismatch")
     grade = "wedge2" if len(factors) == 2 else "wedge3"
     return MultiVector(dim, grade, _wedge_terms(factors))
 
 
-def tensor_wedge(a, bc, dim=None):
+def tensor_wedge(a, bc):
     """a tensor (b wedge c) for a coordinate vector a and a wedge2 element."""
     a = tuple(a)
-    if dim is None:
-        dim = len(a)
-    if bc.grade != "wedge2" or bc.dim != dim or len(a) != dim:
+    dim = len(a)
+    if bc.grade != "wedge2" or bc.dim != dim:
         raise ValueError("expected a vector and a wedge2 element of matching dimension")
     return MultiVector(dim, "tensor12", (
         ((s, i, j), x * c) for s, x in enumerate(a) if x for (i, j), c in bc.terms
@@ -351,7 +349,7 @@ def kernel_wedge2_generators(l):
     n = lat.dim
     for v in l.basis:
         for b in la.identity(n):
-            w = wedge((v, b), n)
+            w = wedge((v, b))
             if not w.is_zero():
                 gens.append(w)
     return tuple(gens)

@@ -142,7 +142,7 @@ def level_generators(n, l):
         MultiVector(dim, "wedge2", {key: 1}) for key in combinations(range(dim), 2)
     ]
     wedge2_l = [
-        wedge((u, v), dim)
+        wedge((u, v))
         for i, u in enumerate(l.basis)
         for v in l.basis[i + 1:]
     ]
@@ -150,13 +150,13 @@ def level_generators(n, l):
     k_gens = kernel_wedge2_generators(l)
     gens = []
     if n == 2:
-        gens += [tensor_wedge(v, w, dim) for v in l.basis for w in wedge2_all]
-        gens += [tensor_wedge(b, k, dim) for b in std for k in k_gens]
+        gens += [tensor_wedge(v, w) for v in l.basis for w in wedge2_all]
+        gens += [tensor_wedge(b, k) for b in std for k in k_gens]
     elif n == 3:
-        gens += [tensor_wedge(v, k, dim) for v in l.basis for k in k_gens]
-        gens += [tensor_wedge(b, w, dim) for b in std for w in wedge2_l]
+        gens += [tensor_wedge(v, k) for v in l.basis for k in k_gens]
+        gens += [tensor_wedge(b, w) for b in std for w in wedge2_l]
     elif n == 4:
-        gens += [tensor_wedge(v, w, dim) for v in l.basis for w in wedge2_l]
+        gens += [tensor_wedge(v, w) for v in l.basis for w in wedge2_l]
     return tuple(g for g in gens if not g.is_zero())
 
 
@@ -182,8 +182,4 @@ def filtration_containment(n, x, l):
     """Membership of x in the level-n target subspace (exact Q-linear test)."""
     if n not in (2, 3, 4, 5):
         raise ValueError("level must be one of 2, 3, 4, 5")
-    if x.grade != "tensor12":
-        raise ValueError("filtration_containment expects a tensor12 element")
-    if x.dim != l.lat.dim:
-        raise ValueError("ambient dimension mismatch")
     return filtration_level(x, l) >= n

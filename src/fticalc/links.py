@@ -17,7 +17,10 @@ pairs ("pair", p) so links and blinks can be expanded jointly. Terms of
 an expansion are disjoint by descriptor, so the subset lattice can be
 expanded in independent chunks and merged by plain addition.
 
-File formats (line order free; _records.read sets the line rules):
+File formats (line order free; _records.read sets the line rules). The
+blink and link formats share one lk codec: an 'lk i j v' line names two
+distinct components in range, a repeat must agree, and to_text writes the
+nonzero entries above the diagonal.
 
     blink:    pairs=<r>            pair p is components (2p, 2p+1)
               lk i j v             linking of components i, j
@@ -49,12 +52,9 @@ class BlinkPresentation:
 
     def __init__(self, pairs, lk, eps):
         self.pairs = int(pairs)
-        n = 2 * self.pairs
         self.lk = tuple(tuple(map(int, row)) for row in lk)
-        if len(self.lk) != n or any(len(r) != n for r in self.lk):
-            raise ValueError("lk must be 2r x 2r")
-        if self.lk != la.transpose(self.lk):
-            raise ValueError("lk must be symmetric")
+        if len(self.lk) != 2 * self.pairs or not la.is_symmetric(self.lk):
+            raise ValueError("lk must be a symmetric 2r x 2r matrix")
         self.eps = tuple(eps)
         if len(self.eps) != self.pairs:
             raise ValueError("need one epsilon slot per pair")
@@ -100,12 +100,7 @@ class BlinkPresentation:
         return "BlinkPresentation(pairs=%d)" % self.pairs
 
     def to_text(self):
-        lines = ["pairs=%d" % self.pairs]
-        n = 2 * self.pairs
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.lk[i][j]:
-                    lines.append("lk %d %d %d" % (i, j, self.lk[i][j]))
+        lines = ["pairs=%d" % self.pairs] + _lk_lines(self.lk)
         for p, s in enumerate(self.eps):
             if s is not None:
                 lines.append("eps %d %d" % (p, s))
@@ -116,22 +111,14 @@ class BlinkPresentation:
         head, recs, _ = read(text.splitlines(), {"pairs=": "#"},
                              records={"lk": "# # #", "eps": "# #"})
         (r,) = head["pairs="]
-        n = 2 * r
-        lk_entries = {}
-        for i, j, v in recs["lk"]:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError("lk indices out of range")
-            set_once(lk_entries, (min(i, j), max(i, j)), v, "lk")
+        lk_entries = _read_lk(recs["lk"], 2 * r)
         eps_entries = {}
         for p, s in recs["eps"]:
             if not 0 <= p < r:
                 raise ValueError("eps pair out of range")
             set_once(eps_entries, p, s, "eps")
-        lk = [[0] * n for _ in range(n)]
-        for (i, j), v in lk_entries.items():
-            lk[i][j] = lk[j][i] = v
-        eps = [eps_entries.get(p) for p in range(r)]
-        return cls(r, lk, eps)
+        # _dense first: a huge pairs= overflows there before range(r) runs
+        return cls(r, _dense(2 * r, lk_entries), [eps_entries.get(p) for p in range(r)])
 
 
 class FramedLink:
@@ -142,11 +129,8 @@ class FramedLink:
     def __init__(self, components, lk, boundary=False):
         self.components = int(components)
         self.lk = tuple(tuple(map(int, row)) for row in lk)
-        n = self.components
-        if len(self.lk) != n or any(len(r) != n for r in self.lk):
-            raise ValueError("lk must be n x n")
-        if self.lk != la.transpose(self.lk):
-            raise ValueError("lk must be symmetric")
+        if len(self.lk) != self.components or not la.is_symmetric(self.lk):
+            raise ValueError("lk must be a symmetric n x n matrix")
         self.boundary = bool(boundary)
 
     def is_algebraically_split(self):
@@ -163,13 +147,8 @@ class FramedLink:
         return "FramedLink(components=%d)" % self.components
 
     def to_text(self):
-        lines = ["components=%d" % self.components]
-        n = self.components
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.lk[i][j]:
-                    lines.append("lk %d %d %d" % (i, j, self.lk[i][j]))
-        for i in range(n):
+        lines = ["components=%d" % self.components] + _lk_lines(self.lk)
+        for i in range(self.components):
             if self.lk[i][i]:
                 lines.append("frame %d %d" % (i, self.lk[i][i]))
         return "\n".join(lines) + "\n"
@@ -179,21 +158,40 @@ class FramedLink:
         head, recs, _ = read(text.splitlines(), {"components=": "#"},
                              records={"lk": "# # #", "frame": "# #"})
         (n,) = head["components="]
-        entries = {}
-        for i, j, v in recs["lk"]:
-            if i == j:
-                raise ValueError("lk %d %d: a framing goes on a 'frame' line" % (i, j))
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("lk indices out of range")
-            set_once(entries, (min(i, j), max(i, j)), v, "lk")
+        entries = _read_lk(recs["lk"], n)
         for i, v in recs["frame"]:
             if not 0 <= i < n:
                 raise ValueError("frame index out of range")
             set_once(entries, (i, i), v, "frame")
-        lk = [[0] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            lk[i][j] = lk[j][i] = v
-        return cls(n, lk)
+        return cls(n, _dense(n, entries))
+
+
+def _read_lk(recs, n):
+    """The 'lk i j v' records of an n-component file as {(i, j): v}, i < j."""
+    entries = {}
+    for i, j, v in recs:
+        if i == j:
+            raise ValueError("lk %d %d: a component does not link itself" % (i, j))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError("lk indices out of range")
+        set_once(entries, (min(i, j), max(i, j)), v, "lk")
+    return entries
+
+
+def _dense(n, entries):
+    """The symmetric n x n matrix with entries[(i, j)] at (i, j) and (j, i),
+    zero elsewhere."""
+    lk = [[0] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        lk[i][j] = lk[j][i] = v
+    return lk
+
+
+def _lk_lines(lk):
+    """The 'lk i j v' lines of the nonzero entries above the diagonal."""
+    n = len(lk)
+    return ["lk %d %d %d" % (i, j, lk[i][j])
+            for i in range(n) for j in range(i + 1, n) if lk[i][j]]
 
 
 def blink_linking_matrix(b):

@@ -229,10 +229,8 @@ class SpMatrix:
     def upper_unitriangular(cls, lat, c):
         """[[I, C], [0, I]] for a symmetric g x g block C."""
         g = lat.genus
-        if len(c) != g or any(len(r) != g for r in c):
-            raise ValueError("block must be g x g")
-        if any(c[i][j] != c[j][i] for i in range(g) for j in range(g)):
-            raise ValueError("block must be symmetric")
+        if len(c) != g or not la.is_symmetric(c):
+            raise ValueError("C must be a symmetric g x g matrix")
         unit = la.identity(g)
         rows = tuple(u + tuple(map(int, r)) for u, r in zip(unit, c))
         return lc.new(cls, lat=lat, entries=rows + tuple((0,) * g + u for u in unit))
@@ -302,10 +300,8 @@ def realize_symmetric(lat, c):
     residue is fixed by twists on the e_i themselves.
     """
     g = lat.genus
-    if len(c) != g or any(len(r) != g for r in c):
-        raise ValueError("matrix must be g x g")
-    if any(c[i][j] != c[j][i] for i in range(g) for j in range(g)):
-        raise ValueError("matrix must be symmetric")
+    if len(c) != g or not la.is_symmetric(c):
+        raise ValueError("C must be a symmetric g x g matrix")
     out = []
     diag = [c[i][i] for i in range(g)]
     for i in range(g):

@@ -45,18 +45,16 @@ def random_single_circle(rng, nchords):
 
 
 def oracle_mis(d):
-    """Brute force maximum independent set over all chord subsets."""
-    ids = list(d.chord_ids())
-    n = len(ids)
-    cross = {}
-    for i, j in combinations(range(n), 2):
-        cross[(i, j)] = chords_intersect(d, ids[i], ids[j])
+    """Brute force maximum independent set over all chord subsets, on
+    pairwise_crossings (not the library's sweep)."""
+    n = d.chord_count
+    cross = pairwise_crossings(d)
     best = 0
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         if len(members) <= best:
             continue
-        if all(not cross[(a, b)] for a, b in combinations(members, 2)):
+        if all(not cross[a] >> b & 1 for a, b in combinations(members, 2)):
             best = len(members)
     return best
 
@@ -74,6 +72,16 @@ def crossing_rows(seq, n):
         if (p < r < q) != (p < s < q):
             rows[i] |= 1 << j
     return rows, [at.get(i, []) for i in range(n)]
+
+
+def pairwise_crossings(d):
+    """Bit j of row i: chords i and j interleave on some circle of d, the OR
+    of the circles' crossing_rows."""
+    n = d.chord_count
+    cross = [0] * n
+    for seq in d.circles:
+        cross = [a | b for a, b in zip(cross, crossing_rows(seq, n)[0])]
+    return cross
 
 
 def test_intersect_examples():
@@ -749,6 +757,22 @@ def test_circle_masks_match_pairwise_interleave():
         gaps += len(ids) < n
         type2 += any(sum(seq.count(t) == 2 for seq in circles) == 2 for t in ids)
     assert min(one_end, crossing, gaps, type2) > 50
+
+
+def test_chords_intersect_matches_pairwise_rows():
+    """chords_intersect against pairwise_crossings, for every ordered pair,
+    on multi-circle diagrams with type II chords."""
+    rng = random.Random(124)
+    seen = 0
+    while seen < 200:
+        d = random_diagram(rng)
+        n = d.chord_count
+        if not any(sum(seq.count(t) == 2 for seq in d.circles) == 2 for t in range(n)):
+            continue
+        seen += 1
+        cross = pairwise_crossings(d)
+        for a, b in permutations(range(n), 2):
+            assert chords_intersect(d, a, b) == bool(cross[a] >> b & 1)
 
 
 def test_bd_raw_on_multi_circle_states():

@@ -11,6 +11,7 @@ from fticalc._intlinalg import (
     identity,
     int_kernel,
     invert_unimodular,
+    is_symmetric,
     mat_mul,
     mat_vec,
     rank,
@@ -18,6 +19,50 @@ from fticalc._intlinalg import (
     saturate,
     transpose,
 )
+
+
+def test_is_symmetric_shapes():
+    assert is_symmetric(()) and is_symmetric([])
+    assert is_symmetric(((7,),)) and is_symmetric([[7]])
+    assert is_symmetric([[1, 2], [2, 3]])
+    assert not is_symmetric([[1, 2], [3, 4]])
+    assert not is_symmetric([[1, 2, 0], [2, 3, 0]])  # 2 x 3
+    assert not is_symmetric([[1, 2], [2, 3], [0, 0]])  # 3 x 2
+    assert not is_symmetric([[]]) and not is_symmetric([[], []])
+    for ragged in ([[1, 2], [2]], [[1], [2, 3]], [[1, 2], [2, 3, 4]],
+                   [[1, 2, 3], [2, 1, 5], [3, 5]], [[1, 2, 3], [2, 1], [3, 0, 1]]):
+        assert not is_symmetric(ragged)
+    m = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
+    assert is_symmetric(m)
+    m[2][1] = 9  # one asymmetric entry, below the diagonal
+    assert not is_symmetric(m)
+
+
+def test_is_symmetric_matches_pairwise_definition():
+    def pairwise(m):
+        n = len(m)
+        return all(len(r) == n for r in m) and all(
+            m[i][j] == m[j][i] for i in range(n) for j in range(n))
+
+    rng = random.Random(47)
+    kinds = [0, 0]
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-2, 2)
+        if n and rng.random() < 0.5:  # one entry off, anywhere
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] += rng.choice((-1, 1))
+        if n and rng.random() < 0.2:  # a row one too short or too long
+            row = m[rng.randrange(n)]
+            row.pop() if rng.random() < 0.5 else row.append(0)
+        want = pairwise(m)
+        kinds[want] += 1
+        assert is_symmetric(m) == want
+        assert is_symmetric(tuple(map(tuple, m))) == want
+    assert min(kinds) > 500
 
 
 def test_det_small():

@@ -540,6 +540,26 @@ def test_from_text_rejects_out_of_range_indices():
             SeifertMatrix.from_text(text)
 
 
+def test_lk_records_checked_alike_in_both_formats():
+    for parse, head in ((BlinkPresentation.from_text, "pairs=2\n"),
+                        (FramedLink.from_text, "components=4\n")):
+        parse(head + "lk 0 3 2\nlk 3 0 2\n")  # a repeat that agrees is fine
+        for body, match in (
+            ("lk 1 1 2\n", "does not link itself"),
+            ("lk 9 9 2\n", "does not link itself"),
+            ("lk 0 1 2\nlk 1 0 3\n", "conflicting lk"),
+            ("lk 0 4 2\n", "out of range"),
+            ("lk -1 2 2\n", "out of range"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                parse(head + body)
+    lk = [[0] * 4 for _ in range(4)]
+    lk[2][3] = 1  # one asymmetric entry, off the first row and column
+    for build in (lambda: BlinkPresentation(2, lk, [1, 1]), lambda: FramedLink(4, lk)):
+        with pytest.raises(ValueError, match="symmetric"):
+            build()
+
+
 def test_file_round_trips():
     rng = random.Random(101)
     b = random_blink(rng, 3)
@@ -551,6 +571,23 @@ def test_file_round_trips():
 
     l = FramedLink(3, [[1, 0, 2], [0, -1, 0], [2, 0, 1]])
     assert FramedLink.from_text(l.to_text()).lk == l.lk
+
+    rng = random.Random(59)  # blinks and links, lines shuffled
+    for r in range(5):
+        b = random_blink(rng, r)
+        b = BlinkPresentation(b.pairs, b.lk, [rng.choice((1, -1, None)) for _ in b.eps])
+        n = 2 * r + 1
+        lk = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                lk[i][j] = lk[j][i] = rng.choice((0, 0, rng.randint(-5, 5)))
+        link = FramedLink(n, lk)
+        for x in (b, link):
+            lines = x.to_text().splitlines()
+            rng.shuffle(lines)
+            y = type(x).from_text("\n".join(lines))
+            assert (y.lk, getattr(y, "eps", None)) == (x.lk, getattr(x, "eps", None))
+            assert y.to_text() == x.to_text()
 
     sm, frames = SeifertMatrix.from_text(TREFOIL.to_text(frames=(1,)))
     assert sm == TREFOIL and frames == (1,)

@@ -246,6 +246,26 @@ def test_realize_symmetric_examples():
     ]
 
 
+def test_symmetric_block_builders_reject_bad_c():
+    lat = SymplecticLattice(2)
+    for c in (
+        ((1, 2), (2,)),  # ragged
+        ((1,), (2, 3)),  # ragged
+        ((1, 2, 0), (2, 3, 0)),  # 2 x 3
+        ((1, 2), (2, 3), (0, 0)),  # 3 x 2
+        ((1,),),  # 1 x 1 at genus 2
+        ((1, 2), (0, 1)),  # asymmetric
+        [[0, 0], [1, 0]],  # asymmetric, lists of lists
+    ):
+        with pytest.raises(ValueError, match="symmetric g x g"):
+            SpMatrix.upper_unitriangular(lat, c)
+        with pytest.raises(ValueError, match="symmetric g x g"):
+            realize_symmetric(lat, c)
+    c = [[1, -2], [-2, 0]]
+    assert realize_symmetric(lat, c) == realize_symmetric(lat, tuple(map(tuple, c)))
+    assert SpMatrix.upper_unitriangular(lat, c).block_c() == ((1, -2), (-2, 0))
+
+
 def test_realize_symmetric_roundtrip_random():
     rng = random.Random(13)
     for g in (1, 2, 3, 4):
