@@ -27,6 +27,16 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def int_row(row):
+    """row as a tuple of ints. int() truncates 1.5 and Fraction(1, 2), so a
+    converted row that differs from the given one raises ValueError."""
+    row = tuple(row)
+    out = tuple(map(int, row))
+    if out != row:
+        raise ValueError("entries must be integers")
+    return out
+
+
 def is_symmetric(m):
     """Whether m is square and equal to its transpose. zip yields one tuple
     per column, cut at the shortest row, so a ragged or non-square m

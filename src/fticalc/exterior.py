@@ -15,8 +15,10 @@ slot before '@'), joined by ' + ', with 1-based indices and integer or
 rational coefficients; "0" is the zero element. Round-trips exactly.
 
 Every matrix action is summed by one accumulator, _sum_products: act and
-the difference actions of johnson hand it the factors of each term and it
-expands the products over their joint support into one integer dict.
+the difference actions of johnson hand it each term's products as a head
+vector and a tail of factors. A product is linear in its head, so the
+accumulator sums the heads of each distinct tail and expands every tail
+once, over its joint support, into one integer dict.
 """
 
 from fractions import Fraction
@@ -74,9 +76,6 @@ class MultiVector:
 
     def is_zero(self):
         return not self.terms
-
-    def terms_dict(self):
-        return dict(self.terms)
 
     def _like(self, terms):
         return lc.new(MultiVector, dim=self.dim, grade=self.grade,
@@ -248,24 +247,43 @@ def _over_z(terms):
 def _sum_products(x, r, products):
     """The sum over the terms c*key of x of c times each product in products(key).
 
-    products(key) yields sequences of coordinate vectors of length r: two or
-    three factors wedged together for wedge2/wedge3, and a head vector
-    tensored with the wedge of the other two for tensor12.
+    products(key) yields (head, tail) pairs of coordinate vectors of length
+    r: the product is head wedged with the one or two tail factors for
+    wedge2/wedge3, and head tensored with the wedge of the two tail factors
+    for tensor12. A product is linear in its head, so one pass sums c*head
+    into one integer vector per distinct tail, and each tail is expanded
+    once: wedged with its summed head, or, for tensor12, wedged alone and
+    tensored with the summed head into one length-r row per wedge index.
     """
     # accumulate over Z with the common denominator of x taken out; the
     # keys come out canonical, so the result skips MultiVector's key rule
     scale, scaled = _over_z(x.terms)
-    acc = {}
+    heads = {}
     for key, c in scaled:
-        for factors in products(key):
-            if x.grade == "tensor12":
-                head = [(s, y) for s, y in enumerate(factors[0]) if y]
-                for (i, j), w in _wedge_terms(factors[1:]).items():
-                    for s, y in head:
-                        acc[(s, i, j)] = acc.get((s, i, j), 0) + c * y * w
-            else:
-                for k, w in _wedge_terms(factors).items():
-                    acc[k] = acc.get(k, 0) + c * w
+        for head, tail in products(key):
+            h = heads.get(tail)
+            if h is None:
+                heads[tail] = h = [0] * r
+            for s, y in enumerate(head):
+                if y:
+                    h[s] += c * y
+    acc = {}
+    for tail, h in heads.items():
+        if x.grade == "tensor12":
+            head = [(s, y) for s, y in enumerate(h) if y]
+            if not head:
+                continue
+            for ij, w in _wedge_terms(tail).items():
+                row = acc.get(ij)
+                if row is None:
+                    acc[ij] = row = [0] * r
+                for s, y in head:
+                    row[s] += y * w
+        elif any(h):
+            for k, w in _wedge_terms((h,) + tail).items():
+                acc[k] = acc.get(k, 0) + w
+    if x.grade == "tensor12":
+        acc = {(s,) + ij: v for ij, row in acc.items() for s, v in enumerate(row)}
     terms = sorted((k, v if scale == 1 else Fraction(v, scale)) for k, v in acc.items() if v)
     return lc.new(MultiVector, dim=r, grade=x.grade, terms=tuple(terms))
 
@@ -280,7 +298,8 @@ def act(m, x):
     if any(len(r) != x.dim for r in rows):
         raise ValueError("matrix dimension does not match the element")
     cols = [_column(rows, j) for j in range(x.dim)]
-    return _sum_products(x, len(rows), lambda key: ([cols[k] for k in key],))
+    return _sum_products(x, len(rows),
+                         lambda key: ((cols[key[0]], tuple(cols[k] for k in key[1:])),))
 
 
 def adapted_matrix(l):

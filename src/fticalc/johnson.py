@@ -77,23 +77,28 @@ class LbarElement:
 def _delta(lam, x, grade):
     """(lambda - 1) x by the three-term expansion of each term of x.
 
-    A term with key (k0, k1, k2) expands to the products
-        (d0, c1, c2) + (e0, d1, c2) + (e0, e1, d2),
+    A term with key (k0, k1, k2) expands to the (head, tail) products
+        (d0, c1 c2) + (e0, d1 c2) + (e0, e1 d2),
     where c = lambda e is a column of lambda, e a unit vector and d = c - e.
+    Only the columns k in the keys of x are built, so a call costs
+    O(|support| * dim), not O(dim^2).
     """
     if x.grade != grade:
         raise ValueError("expected a %s element" % grade)
     if x.dim != lam.lat.dim:
         raise ValueError("ambient dimension mismatch")
-    c = la.transpose(lam.matrix.entries)
-    e = la.identity(x.dim)
-    d = [tuple(p - q for p, q in zip(ck, ek)) for ck, ek in zip(c, e)]
+    rows, n = lam.matrix.entries, x.dim
+    c, e, d = {}, {}, {}
+    for k in {k for key, _ in x.terms for k in key}:
+        c[k] = tuple(row[k] for row in rows)
+        e[k] = (0,) * k + (1,) + (0,) * (n - k - 1)
+        d[k] = c[k][:k] + (c[k][k] - 1,) + c[k][k + 1:]
 
     def expansion(key):
         k0, k1, k2 = key
-        return ((d[k0], c[k1], c[k2]), (e[k0], d[k1], c[k2]), (e[k0], e[k1], d[k2]))
+        return ((d[k0], (c[k1], c[k2])), (e[k0], (d[k1], c[k2])), (e[k0], (e[k1], d[k2])))
 
-    return _sum_products(x, x.dim, expansion)
+    return _sum_products(x, n, expansion)
 
 
 def lmo_delta(lam, x):

@@ -52,7 +52,7 @@ class BlinkPresentation:
 
     def __init__(self, pairs, lk, eps):
         self.pairs = int(pairs)
-        self.lk = tuple(tuple(map(int, row)) for row in lk)
+        self.lk = tuple(map(la.int_row, lk))
         if len(self.lk) != 2 * self.pairs or not la.is_symmetric(self.lk):
             raise ValueError("lk must be a symmetric 2r x 2r matrix")
         self.eps = tuple(eps)
@@ -81,8 +81,8 @@ class BlinkPresentation:
         for p, l in enumerate(internal):
             # both components of pair p link components 2q and 2q + 1 alike
             c = cross[p]
-            row = [v for q in range(r) for v in ((int(c[q]),) * 2 if q != p else (0, 0))]
-            x, y, l = 2 * p, 2 * p + 1, int(l)
+            row = [v for q in range(r) for v in ((c[q],) * 2 if q != p else (0, 0))]
+            x, y = 2 * p, 2 * p + 1
             row[y] = l
             lk.append(row)
             row = row.copy()
@@ -111,6 +111,8 @@ class BlinkPresentation:
         head, recs, _ = read(text.splitlines(), {"pairs=": "#"},
                              records={"lk": "# # #", "eps": "# #"})
         (r,) = head["pairs="]
+        if r < 0:
+            raise ValueError("pairs=%d: negative pair count" % r)
         lk_entries = _read_lk(recs["lk"], 2 * r)
         eps_entries = {}
         for p, s in recs["eps"]:
@@ -128,7 +130,7 @@ class FramedLink:
 
     def __init__(self, components, lk, boundary=False):
         self.components = int(components)
-        self.lk = tuple(tuple(map(int, row)) for row in lk)
+        self.lk = tuple(map(la.int_row, lk))
         if len(self.lk) != self.components or not la.is_symmetric(self.lk):
             raise ValueError("lk must be a symmetric n x n matrix")
         self.boundary = bool(boundary)
@@ -158,6 +160,8 @@ class FramedLink:
         head, recs, _ = read(text.splitlines(), {"components=": "#"},
                              records={"lk": "# # #", "frame": "# #"})
         (n,) = head["components="]
+        if n < 0:
+            raise ValueError("components=%d: negative component count" % n)
         entries = _read_lk(recs["lk"], n)
         for i, v in recs["frame"]:
             if not 0 <= i < n:
@@ -408,7 +412,7 @@ class SeifertMatrix:
         if any(s < 0 for s in self.sizes):
             raise ValueError("block sizes must be nonnegative")
         total = sum(self.sizes)
-        self.entries = tuple(tuple(map(int, row)) for row in entries)
+        self.entries = tuple(map(la.int_row, entries))
         if len(self.entries) != total or any(len(r) != total for r in self.entries):
             raise ValueError("matrix size must equal the sum of block sizes")
 

@@ -111,7 +111,7 @@ class Sublattice:
 
     def __init__(self, lat, generators):
         self.lat = lat
-        gens = tuple(tuple(map(int, v)) for v in generators)
+        gens = tuple(map(la.int_row, generators))
         for v in gens:
             if len(v) != lat.dim:
                 raise ValueError("generator length must be 2g")
@@ -181,7 +181,7 @@ class SpMatrix:
 
     def __init__(self, lat, entries):
         self.lat = lat
-        self.entries = tuple(tuple(map(int, row)) for row in entries)
+        self.entries = tuple(map(la.int_row, entries))
         n = lat.dim
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("matrix must be 2g x 2g")
@@ -229,10 +229,11 @@ class SpMatrix:
     def upper_unitriangular(cls, lat, c):
         """[[I, C], [0, I]] for a symmetric g x g block C."""
         g = lat.genus
+        c = tuple(map(la.int_row, c))
         if len(c) != g or not la.is_symmetric(c):
             raise ValueError("C must be a symmetric g x g matrix")
         unit = la.identity(g)
-        rows = tuple(u + tuple(map(int, r)) for u, r in zip(unit, c))
+        rows = tuple(u + r for u, r in zip(unit, c))
         return lc.new(cls, lat=lat, entries=rows + tuple((0,) * g + u for u in unit))
 
     def block_c(self):
@@ -274,7 +275,7 @@ def transvection(lat, v, k):
     f_i to f_i + e_i. The sign of k encodes the two possible twist
     directions; no canonical choice is made.
     """
-    v = tuple(int(x) for x in v)
+    v = la.int_row(v)
     if len(v) != lat.dim:
         raise ValueError("vector length must be 2g")
     if all(x == 0 for x in v):
@@ -300,6 +301,7 @@ def realize_symmetric(lat, c):
     residue is fixed by twists on the e_i themselves.
     """
     g = lat.genus
+    c = tuple(map(la.int_row, c))
     if len(c) != g or not la.is_symmetric(c):
         raise ValueError("C must be a symmetric g x g matrix")
     out = []
@@ -390,8 +392,7 @@ def lagrangian_split_linking(lat, classes, lplus=None, lminus=None):
         lminus = lat.standard_lminus()
     parts = []
     for p, m in classes:
-        p = tuple(int(x) for x in p)
-        m = tuple(int(x) for x in m)
+        p, m = la.int_row(p), la.int_row(m)
         if not lplus.contains(p):
             raise ValueError("plus part not in L+")
         if not lminus.contains(m):

@@ -334,6 +334,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert err.startswith("parse error:")
 
 
+def test_negative_pairs_header_exit_2(tmp_path, capsys):
+    for sub in ("det", "bracket"):
+        path = write(tmp_path, "neg.blink", "pairs=-3\n")
+        status, out, err = run(capsys, ["blink", sub, path])
+        assert (status, out) == (2, "")
+        assert err == "parse error: bad blink file: pairs=-3: negative pair count\n"
+
+
 def test_out_of_range_eps_exit_2(tmp_path, capsys):
     path = write(tmp_path, "eps.blink", "pairs=1\neps 0 1\neps 7 1\n")
     status, out, err = run(capsys, ["blink", "det", path])

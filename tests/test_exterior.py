@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from fticalc import _intlinalg as la
+from fticalc import exterior
 from fticalc.exterior import (
     MultiVector,
     act,
@@ -87,7 +88,7 @@ def test_embed_wedge3_injective_on_basis():
             for key in combinations(range(n), 3)
         )
         keys = sorted({k for v in gens for k, _ in v.terms})
-        rows = [[int(v.terms_dict().get(k, 0)) for k in keys] for v in gens]
+        rows = [[int(dict(v.terms).get(k, 0)) for k in keys] for v in gens]
         assert la.rank(rows, len(keys)) == len(gens)
 
 
@@ -286,14 +287,38 @@ def dense_act(m, x):
     return MultiVector(r, x.grade, out)
 
 
-def rand_element(rng, n, grade, nterms=4):
+def rand_element(rng, n, grade, nterms=4, support=range):
+    """Random terms with Fraction coefficients whose indices are drawn from
+    support(n): all of range(n) by default."""
+    pool = support(n)
     size = 2 if grade == "wedge2" else 3
     terms = {}
     for _ in range(nterms):
-        key = tuple(rng.sample(range(n), size))
+        key = tuple(rng.sample(pool, size))
         if grade == "tensor12":
-            key = (rng.randrange(n),) + key[:2]
+            key = (rng.choice(pool),) + key[:2]
         terms[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return MultiVector(n, grade, terms)
+
+
+def shared_tail_element(rng, n, grade, heads=None, signs=None):
+    """Terms c*head^tail (c*head@tail for tensor12) with several heads on
+    each of two tails. A wedge tail is drawn from above its heads, so every
+    key stays canonical with its head first. Given heads and signs, each
+    tail gets the terms sign*c*head with one c per tail."""
+    size = 1 if grade == "wedge2" else 2
+    terms = {}
+    for _ in range(2):
+        low = 0 if grade == "tensor12" else (max(heads) + 1 if heads else 1)
+        tail = tuple(sorted(rng.sample(range(low, n), size)))
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        if heads is None:
+            pool = range(n) if grade == "tensor12" else range(tail[0])
+            for a in rng.sample(pool, min(3, len(pool))):
+                terms[(a,) + tail] = rng.randint(-4, 4) * c
+        else:
+            for a, s in zip(heads, signs):
+                terms[(a,) + tail] = s * c
     return MultiVector(n, grade, terms)
 
 
@@ -341,6 +366,53 @@ def test_act_matches_dense_oracle():
                         continue
                     x = rand_element(rng, n, grade)
                     assert act(m, x) == dense_act(m, x)
+                    # terms sharing a tail, so the summed heads carry them
+                    if grade == "wedge2" or n > 3:
+                        x = shared_tail_element(rng, n, grade)
+                        assert act(m, x) == dense_act(m, x)
+    # heads that cancel: columns 0 and 1 of m are equal (or opposite), and
+    # each tail carries c*e0 - c*e1 (or c*e0 + c*e1)
+    for g in (2, 3, 4):
+        n = 2 * g
+        for _ in range(10):
+            m = [list(rand_vec(rng, n)) for _ in range(rng.randint(1, n + 1))]
+            flip = rng.choice((1, -1))
+            for row in m:
+                row[1] = flip * row[0]
+            for grade in ("wedge2", "wedge3", "tensor12"):
+                x = shared_tail_element(rng, n, grade, heads=(0, 1), signs=(1, -flip))
+                assert act(m, x).is_zero() and dense_act(m, x).is_zero()
+                y = x + rand_element(rng, n, grade, 2)
+                assert act(m, y) == dense_act(m, y)
+    # g = 6..8 elements supported on four or five coordinates
+    for g in (6, 7, 8):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(3):
+            shapes = [quotient_matrix(moved_lagrangian(rng, lat)),
+                      tuple(rand_vec(rng, n) for _ in range(rng.randint(1, n + 1)))]
+            for m in shapes:
+                for grade in ("wedge2", "wedge3", "tensor12"):
+                    x = rand_element(rng, n, grade, 6, lambda n: rng.sample(range(n), 5))
+                    assert act(m, x) == dense_act(m, x)
+
+
+def test_act_expands_each_tail_once(monkeypatch):
+    """act on tensor12 wedges at most once per distinct (i, j) of x."""
+    real, calls = exterior._wedge_terms, []
+    monkeypatch.setattr(exterior, "_wedge_terms", lambda f: calls.append(f) or real(f))
+    rng = random.Random(73)
+    for g in (2, 3, 4):
+        n = 2 * g
+        for _ in range(10):
+            m = tuple(rand_vec(rng, n) for _ in range(rng.randint(1, n + 1)))
+            x = shared_tail_element(rng, n, "tensor12") + rand_element(rng, n, "tensor12", 6)
+            calls.clear()
+            got = act(m, x)
+            tails = {key[1:] for key, _ in x.terms}
+            assert len(x.terms) > len(tails)
+            assert 0 < len(calls) <= len(tails)
+            assert got == dense_act(m, x)
 
 
 def random_lbar(rng, lat):
@@ -371,4 +443,42 @@ def test_deltas_match_dense_oracle():
             x = rand_element(rng, n, "tensor12")
             assert lmo_delta(lam, x) == dense_act(m, x) - x
             w = rand_element(rng, n, "wedge3")
+            assert lmo1_delta(lam, w) == dense_act(m, w) - w
+            # terms sharing a tail
+            x = shared_tail_element(rng, n, "tensor12")
+            assert lmo_delta(lam, x) == dense_act(m, x) - x
+            if n > 3:
+                w = shared_tail_element(rng, n, "wedge3")
+                assert lmo1_delta(lam, w) == dense_act(m, w) - w
+    # d-heads that cancel: columns 0 and 1 of C are equal, so d = c - e is
+    # equal at the f-indices g and g + 1; each tail carries c*f1 - c*f2
+    for g in (3, 4, 5):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(8):
+            c = [[0] * g for _ in range(g)]
+            for i in range(g):
+                for j in range(i, g):
+                    c[i][j] = c[j][i] = rng.randint(-3, 3)
+            for i in range(g):
+                c[i][1] = c[1][i] = c[i][0]
+            c[1][1] = c[0][0]
+            lam = LbarElement.from_symmetric(lat, c)
+            m = lam.matrix.entries
+            x = shared_tail_element(rng, n, "tensor12", heads=(g, g + 1), signs=(1, -1))
+            assert lmo_delta(lam, x) == dense_act(m, x) - x
+            if g > 3:
+                w = shared_tail_element(rng, n, "wedge3", heads=(g, g + 1), signs=(1, -1))
+                assert lmo1_delta(lam, w) == dense_act(m, w) - w
+    # g = 6..8 elements supported on four or five coordinates
+    for g in (6, 7, 8):
+        lat = SymplecticLattice(g)
+        n = lat.dim
+        for _ in range(4):
+            lam = random_lbar(rng, lat)
+            m = lam.matrix.entries
+            narrow = lambda n: rng.sample(range(n), 5)
+            x = rand_element(rng, n, "tensor12", 6, narrow)
+            assert lmo_delta(lam, x) == dense_act(m, x) - x
+            w = rand_element(rng, n, "wedge3", 6, narrow)
             assert lmo1_delta(lam, w) == dense_act(m, w) - w

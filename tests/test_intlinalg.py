@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from fticalc._intlinalg import (
     det,
     identity,
     int_kernel,
+    int_row,
     invert_unimodular,
     is_symmetric,
     mat_mul,
@@ -19,6 +21,54 @@ from fticalc._intlinalg import (
     saturate,
     transpose,
 )
+from fticalc.links import BlinkPresentation, FramedLink, SeifertMatrix
+from fticalc.symplectic import (
+    SpMatrix,
+    Sublattice,
+    SymplecticLattice,
+    lagrangian_split_linking,
+    realize_symmetric,
+    transvection,
+)
+
+
+def test_int_row_keeps_exact_integers_only():
+    assert int_row([1, Fraction(4, 2), 3.0, True]) == (1, 2, 3, 1)
+    assert all(type(x) is int for x in int_row((Fraction(-6, 3), 2.0)))
+    assert int_row(iter([5, -5])) == (5, -5) and int_row(()) == ()
+    for bad in (1.5, Fraction(1, 2), Fraction(-7, 3), "3"):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            int_row([0, bad])
+
+
+def test_integer_constructors_reject_inexact_entries():
+    """Every constructor of an integer matrix or vector raises ValueError on a
+    non-integer entry, where int() would truncate it."""
+    lat = SymplecticLattice(2)
+    e1, f1 = lat.e(1), lat.f(1)
+    for bad in (1.5, Fraction(1, 2)):
+        constructors = (
+            lambda: SpMatrix.upper_unitriangular(lat, ((bad, 0), (0, 1))),
+            lambda: realize_symmetric(lat, ((bad, 0), (0, 1))),
+            lambda: BlinkPresentation(1, [[0, bad], [bad, 0]], [1]),
+            lambda: BlinkPresentation.from_pair_data([bad], [1]),
+            lambda: BlinkPresentation.from_pair_data([0, 0], [1, 1], {(0, 1): bad}),
+            lambda: FramedLink(2, [[bad, 0], [0, 1]]),
+            lambda: SeifertMatrix((2,), [[bad, 1], [0, 0]]),
+            lambda: SpMatrix(lat, [r[:1] + (bad,) + r[2:] if i == 2 else r
+                                   for i, r in enumerate(identity(4))]),
+            lambda: Sublattice(lat, [(bad, 0, 0, 0)]),
+            lambda: transvection(lat, (bad, 0, 0, 0), 1),
+            lambda: lagrangian_split_linking(lat, [((bad, 0, 0, 0), (0,) * 4)]),
+        )
+        for build in constructors:
+            with pytest.raises(ValueError, match="entries must be integers"):
+                build()
+    # an integral Fraction or float is an exact integer value
+    three = Fraction(3)
+    assert SpMatrix.upper_unitriangular(lat, ((three, 1.0), (1, 0))).block_c() == ((3, 1), (1, 0))
+    assert FramedLink(2, [[three, 0], [0, 1.0]]).lk == ((3, 0), (0, 1))
+    assert Sublattice(lat, [tuple(map(Fraction, e1)), f1]).basis == Sublattice(lat, [e1, f1]).basis
 
 
 def test_is_symmetric_shapes():

@@ -560,6 +560,16 @@ def test_lk_records_checked_alike_in_both_formats():
             build()
 
 
+@pytest.mark.parametrize("parse, text, message", (
+    (BlinkPresentation.from_text, "pairs=-1\neps 0 1\n", "pairs=-1: negative pair count"),
+    (FramedLink.from_text, "components=-2\nframe 0 1\n", "components=-2: negative component count"),
+))
+def test_negative_count_header_is_named(parse, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_file_round_trips():
     rng = random.Random(101)
     b = random_blink(rng, 3)
