@@ -59,7 +59,6 @@ from .links import (
     bracket_expand,
     casson,
     fundamental_relation,
-    is_unimodular,
     phi,
     seifert_congruent,
     seifert_framing_to_framing,

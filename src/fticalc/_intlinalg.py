@@ -37,6 +37,15 @@ def int_row(row):
     return out
 
 
+def int_value(x):
+    """x as an int, by the rule of int_row: 3.0 and Fraction(4, 2) pass,
+    while 1.5 and Fraction(1, 2), which int() truncates, raise ValueError."""
+    out = int(x)
+    if out != x:
+        raise ValueError("%r is not an integer" % (x,))
+    return out
+
+
 def is_symmetric(m):
     """Whether m is square and equal to its transpose. zip yields one tuple
     per column, cut at the shortest row, so a ragged or non-square m

@@ -13,7 +13,9 @@ pairwise-nonintersecting chord set: an O(N * bd) interval DP per circle,
 which a retirement test stops at its level (a closed form at caps 1 and
 2), if no chord meets two circles, else a branch-and-bound search on the
 crossing graph, the OR of one prefix-XOR sweep per circle with rows
-indexed by chord id.
+indexed by chord id. The search takes the chords that cross every other
+live chord in one step: the least of them is a leaf, and the rest are
+dropped together, which keeps the set it returns.
 
 The 4-term move rewrites a diagram whose designated moving endpoint sits
 next to an endpoint of a fixed chord into the three diagrams obtained by
@@ -36,16 +38,18 @@ chords (the specials), sort the specials until pairwise disjoint. The
 tower is the set the branch-and-bound search returns on the circle's
 sweep, taken once per plan, so the term lists do not depend on the degree
 test. The plan names the alpha arc by the tower endpoint that opens it,
-so each move reads that arc alone. On several circles: uncross chords
-circle by circle, at the first crossing pair of a sweep. A state is its
-raw circles; it carries no position map. One move kernel, _move, serves
-four_term and the engine: it finds the near fixed endpoint and the
-mover's side once, writes the three main terms and, unless the move is a
-clean version 1 (both chords on the moving circle alone), the error pair.
-One retirement test serves the entry checks and every state entering a
-level. A one-circle term that chord b alone moved out of an unretired
-parent retires iff b and the chords that do not cross it reach the
-level: bd(child - b) = bd(parent - b) < level.
+so each move reads that arc alone, as one slice of the turned circle. On
+several circles: uncross chords circle by circle, at the first crossing
+pair of a sweep. A state is its raw circles; it carries no position map.
+One move kernel, _move, serves four_term and the engine: it finds the
+near fixed endpoint and the mover's side once, writes the three main
+terms and, unless the move is a clean version 1 (both chords on the
+moving circle alone), the error pair. One retirement test serves the
+multi-circle entry check and every term entering a level after the
+first; a one-circle diagram's entry check reads its degree, and its
+rewriting starts at the level above it. A one-circle term that chord b
+alone moved out of an unretired parent retires iff b and the chords that
+do not cross it reach the level: bd(child - b) = bd(parent - b) < level.
 
 The canonical form is the lexicographically least relabelling over
 circle orders, rotations and reflections. Every candidate has one row
@@ -87,8 +91,11 @@ independently and merged in any order with identical results.
 """
 
 from bisect import bisect_right
+from itertools import combinations, compress, count
 from math import comb, inf
+from operator import ne
 
+from . import _intlinalg as la
 from . import _lincomb as lc
 from ._records import read
 
@@ -114,7 +121,7 @@ class ChordDiagram:
         self.circles = tuple(
             tuple(relabel[tok] for tok in seq) for seq in raw
         )
-        self.marks = int(marks)
+        self.marks = la.int_value(marks)
         if self.marks < 0:
             raise ValueError("marks must be nonnegative")
         _positions(self.circles)
@@ -199,6 +206,8 @@ def _positions(circles):
         for p, tok in enumerate(seq):
             pos.setdefault(tok, {}).setdefault(c, []).append(p)
     for cid, per in pos.items():
+        if len(per) == 1 and len(next(iter(per.values()))) == 2:
+            continue  # a type I chord on one circle
         counts = [len(ps) for ps in per.values()]
         total = sum(counts)
         if total == 4 and len(per) != 2:
@@ -240,7 +249,17 @@ def _mis(masks, live, stop_at=None):
     """Maximum independent set of the chords in the bitmask live: (size,
     chosen bitmask). Exact, unless stop_at is given, in which case the
     search returns early once a set of that size is found (sufficient for
-    threshold checks). Used when a chord meets two circles, and for towers."""
+    threshold checks). Used when a chord meets two circles, and for towers.
+
+    Each node branches on the live chord with the most live crossings, the
+    least id of those, first taking it and then leaving it out. When such a
+    chord crosses every other live chord (every chord of a clique does), the
+    node records the leaf of the least such chord and searches once on the
+    live set less all of them. That returns the set the plain branching
+    returns: those chords keep the top degree as each is left out, so it
+    takes them next in id order, and their leaves of the same size set no
+    new best. The bound or stop_at that would end that chain early ends the
+    one search on the smaller set too."""
     n = len(masks)
     best_size = 0
     best_set = 0
@@ -249,16 +268,24 @@ def _mis(masks, live, stop_at=None):
         nonlocal best_size, best_set
         if stop_at is not None and best_size >= stop_at:
             return
-        if size + cand.bit_count() <= best_size:
+        width = cand.bit_count()
+        if size + width <= best_size:
             return
         if cand == 0:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
         live = [i for i in range(n) if cand >> i & 1]
-        v = max(live, key=lambda i: (masks[i] & cand).bit_count())
+        degree = [(masks[i] & cand).bit_count() for i in live]
+        top = max(degree)
+        v = live[degree.index(top)]
+        if top == width - 1:  # v crosses every other live chord
+            if size + 1 > best_size:
+                best_size, best_set = size + 1, chosen | 1 << v
+            rec(cand & ~sum(1 << i for i, d in zip(live, degree) if d == top), size, chosen)
+            return
         rec(cand & ~(masks[v] | (1 << v)), size + 1, chosen | (1 << v))
-        if masks[v] & cand:
+        if top:
             rec(cand & ~(1 << v), size, chosen)
 
     rec(live, 0, 0)
@@ -472,13 +499,12 @@ def _move(circles, circ, m_pos, fixed):
     else:
         raise ValueError("moving endpoint is not adjacent to the fixed chord")
     mover, rest = seq[m_pos], seq[:m_pos] + seq[m_pos + 1:]
+    head, tail = circles[:circ], circles[circ + 1:]
     out = []
     for dst, side, sign in ((near, not after, 1), (far, not after, 1), (far, after, -1)):
         at = dst - (dst > m_pos) + side
-        new = list(circles)
-        new[circ] = rest[:at] + (mover,) + rest[at:]
-        out.append((tuple(new), 0, sign))
-    others = circles[:circ] + circles[circ + 1:]
+        out.append((head + (rest[:at] + (mover,) + rest[at:],) + tail, 0, sign))
+    others = head + tail
     if others and any(fixed in s or mover in s for s in others):
         stripped = tuple(tuple(tok for tok in s if tok != mover) for s in circles)
         out += [(stripped, 1, 1), (stripped + ((),), 1, -1)]
@@ -527,13 +553,11 @@ def four_term(d, fixed, moving, version):
 # -- single-circle tower reduction ------------------------------------------
 
 def _arc(seq, s_ids, opener):
-    """The slots of the arc that the tower endpoint at slot opener opens,
-    in arc order, up to the next tower endpoint."""
-    n, out, q = len(seq), [], opener + 1
-    while seq[q % n] not in s_ids:
-        out.append(q % n)
-        q += 1
-    return out
+    """The tokens of the arc that the tower endpoint at slot opener opens,
+    in arc order, up to the next tower endpoint: one slice of the circle
+    turned to start just after opener, cut at the first tower token."""
+    turned = seq[opener + 1:] + seq[:opener + 1]
+    return turned[:min(map(turned.index, s_ids))]
 
 
 def _next_move(circles, plan, level):
@@ -542,44 +566,46 @@ def _next_move(circles, plan, level):
     (tower, alpha arc, specials, their target order), and every term a move
     produces inherits it. Tower endpoints never move, so the plan names the
     alpha arc by the one that opens it, (token, 0 or 1 for its first or
-    second slot), and a move reads that arc alone."""
+    second slot), and a move reads that arc alone: one _arc slice, from
+    which the specials are filtered in arc order, and the slot of a token
+    is its index in the slice past the opener."""
     seq = circles[0]
+    n = len(seq)
     if plan is None:
-        masks, slots = _circle_masks(seq, len(seq) // 2)
+        masks, slots = _circle_masks(seq, n // 2)
         size, chosen = _mis(masks, (1 << len(masks)) - 1)
         if size != level - 1:
             raise RuntimeError("lift entered with wrong boundary degree")
         s_ids = frozenset(i for i in range(len(masks)) if chosen >> i & 1)
-        bpos = [p for p, tok in enumerate(seq) if tok in s_ids]
-        classes = {}
-        for cid, ends in enumerate(slots):
-            if cid in s_ids:
-                continue
-            pair = tuple(sorted((bisect_right(bpos, p) - 1) % len(bpos) for p in ends))
-            if pair[0] == pair[1]:
-                raise RuntimeError("same-arc chord contradicts the degree bound")
-            classes.setdefault(pair, []).append(cid)
-        key = max(sorted(classes), key=lambda k: len(classes[k]))
+        bpos = sorted(p for i in s_ids for p in slots[i])
+        arcs = [_arc(seq, s_ids, p) for p in bpos]
+        sets = [set(arc) for arc in arcs]
+        if any(len(s) < len(arc) for s, arc in zip(sets, arcs)):
+            raise RuntimeError("same-arc chord contradicts the degree bound")
+        # the chords joining each arc pair, the pairs in increasing order
+        classes = {(a, b): sets[a] & sets[b] for a, b in combinations(range(len(arcs)), 2)}
+        key = max(classes, key=lambda k: len(classes[k]))
         if len(classes[key]) < level:
             raise RuntimeError("pigeonhole bound violated")
         alpha_arc, beta_arc = key
         specials = frozenset(classes[key])
-        target = tuple(reversed([seq[p] for p in _arc(seq, s_ids, bpos[beta_arc])
-                                 if seq[p] in specials]))
+        target = tuple(reversed(list(filter(specials.__contains__, arcs[beta_arc]))))
         tok = seq[bpos[alpha_arc]]
         plan = (s_ids, (tok, slots[tok].index(bpos[alpha_arc])), specials, target)
     s_ids, (tok, k), specials, target = plan
     opener = seq.index(tok)
-    alpha_positions = _arc(seq, s_ids, seq.index(tok, opener + 1) if k else opener)
-    order = [seq[p] for p in alpha_positions if seq[p] in specials]
+    if k:
+        opener = seq.index(tok, opener + 1)
+    arc = _arc(seq, s_ids, opener)
+    order = list(filter(specials.__contains__, arc))
     if len(order) != len(target):
         raise RuntimeError("a special chord left its class")
-    idx = next((i for i in range(len(order)) if order[i] != target[i]), None)
+    idx = next(compress(count(), map(ne, order, target)), None)  # the first misplaced special
     if idx is None:
         raise RuntimeError("sorted specials must yield the degree bound")
     want = target[idx]
-    p = next(q for q in alpha_positions if seq[q] == want)
-    prev = (p - 1) % len(seq)
+    p = (opener + 1 + arc.index(want)) % n
+    prev = (p - 1) % n
     if seq[prev] in s_ids:
         raise RuntimeError("sorting walked out of the arc")
     if seq[prev] in specials:
@@ -610,6 +636,7 @@ def _child_retired(seq, b, marks, m, level):
 def _reduce(d, m, levels, next_move, max_steps):
     """Rewrite d, for each level in turn, until every term is _retired at
     that level; the result is the DiagramSum of the last level's terms.
+    d must not retire at the first level: each caller tests it on entry.
 
     The frontier is keyed on the exact state (circles, marks, plan), so
     the paths that reach a state before it is taken have their
@@ -620,24 +647,30 @@ def _reduce(d, m, levels, next_move, max_steps):
     linearity neither the merging nor the order changes the sum.
     max_steps bounds the number of expansions.
 
-    States carry their raw circles only; one-circle states made by a move
-    record the moved chord for the cheaper _child_retired test. The retired
-    states go to DiagramSum as they are, and canonicalize checks them.
+    States carry their raw circles only. The terms of a level are tested
+    as they enter the next one; a state made by a move records the moved
+    chord and is tested when taken, by the cheaper _child_retired test on
+    one circle. The retired states go to DiagramSum as they are, and
+    canonicalize checks them.
     """
-    done = {(d.circles, d.marks): 1}
-    steps = 0
+    # state -> [coefficient, the moved chord of a child, or None on entry]
+    frontier, done, steps = {(d.circles, d.marks, None): [1, None]}, {}, 0
     for level in levels:
-        # state -> (coefficient, the moved chord of a one-circle child, or None)
-        frontier = {(circles, marks, None): (co, None) for (circles, marks), co in done.items()}
-        done = {}
+        entering, done = done, {}
+        for (circles, marks), co in entering.items():
+            if co and _retired(circles, marks, m, level):
+                done[circles, marks] = co
+            elif co:
+                frontier[circles, marks, None] = [co, None]
         while frontier:
             key = next(iter(frontier))
             coeff, mover = frontier.pop(key)
             if not coeff:
                 continue
             circles, marks, plan = key
-            if (_retired(circles, marks, m, level) if mover is None
-                    else _child_retired(circles[0], mover, marks, m, level)):
+            if mover is not None and (
+                    _child_retired(circles[0], mover, marks, m, level) if len(circles) == 1
+                    else _retired(circles, marks, m, level)):
                 done[circles, marks] = done.get((circles, marks), 0) + coeff
                 continue
             steps += 1
@@ -656,10 +689,9 @@ def _reduce(d, m, levels, next_move, max_steps):
                     % (len(set().union(*circles)), marks)
                 )
             circ, m_pos, fixed, plan = move
-            mover = circles[circ][m_pos] if len(circles) == 1 else None
+            mover = circles[circ][m_pos]
             for new_circles, added, sign in _move(circles, circ, m_pos, fixed):
-                child = (new_circles, marks + added, plan)
-                frontier[child] = (frontier.get(child, (0,))[0] + sign * coeff, mover)
+                frontier.setdefault((new_circles, marks + added, plan), [0, mover])[0] += sign * coeff
     return DiagramSum((lc.new(ChordDiagram, circles=c, marks=mk), co)
                       for (c, mk), co in done.items())
 
@@ -676,7 +708,8 @@ def tower_reduce(d, m, c=2):
         raise ValueError("m must be a positive integer")
     if len(d.circles) != 1:
         raise ValueError("tower_reduce expects a single-circle diagram")
-    if _retired(d.circles, d.marks, m, m):
+    bd = _bd_circle(d.circles[0], m)  # exact below m
+    if d.marks >= m or bd >= m:
         return DiagramSum({d: 1})
     if not pigeonhole_ok(m, c):
         raise ValueError("constant c=%d fails the pigeonhole bound for m=%d" % (c, m))
@@ -684,7 +717,8 @@ def tower_reduce(d, m, c=2):
         raise ValueError(
             "need at least c*m^3 = %d chords, have %d" % (c * m ** 3, d.chord_count)
         )
-    return _reduce(d, m, range(2, m + 1), _next_move, inf)
+    # d retires at every level up to its degree, so the rewriting starts above it
+    return _reduce(d, m, range(bd + 1, m + 1), _next_move, inf)
 
 
 # -- multi-circle reduction --------------------------------------------------

@@ -24,6 +24,7 @@ The truncation degree is guarded at N <= 8 (term counts grow like
 (2g)^N; with 2g <= 6 that is the desk-scale limit).
 """
 
+from . import _intlinalg as la
 from . import _lincomb as lc
 
 MAX_DEGREE = 8
@@ -35,7 +36,7 @@ class GroupWord:
     __slots__ = ("ngens", "letters")
 
     def __init__(self, ngens, letters):
-        self.ngens = int(ngens)
+        self.ngens = la.int_value(ngens)
         reduced = []
         for idx, exp in letters:
             idx = int(idx)
@@ -208,12 +209,12 @@ class TruncatedSeries:
     __slots__ = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms=()):
+        self.nvars = la.int_value(nvars)
+        self.degree = degree = la.int_value(degree)
         if degree < 1:
             raise ValueError("truncation degree must be >= 1")
         if degree > MAX_DEGREE:
             raise ValueError("truncation degree is guarded at N <= %d" % MAX_DEGREE)
-        self.nvars = int(nvars)
-        self.degree = int(degree)
         # the key rule: words beyond the truncation degree are dropped unread
         terms = [(tuple(w), c) for w, c in lc.pairs(terms) if len(w) <= degree]
         if any(not 0 <= v < self.nvars for w, _ in terms for v in w):

@@ -51,7 +51,7 @@ class BlinkPresentation:
     """
 
     def __init__(self, pairs, lk, eps):
-        self.pairs = int(pairs)
+        self.pairs = la.int_value(pairs)
         self.lk = tuple(map(la.int_row, lk))
         if len(self.lk) != 2 * self.pairs or not la.is_symmetric(self.lk):
             raise ValueError("lk must be a symmetric 2r x 2r matrix")
@@ -129,7 +129,7 @@ class FramedLink:
     property that the components bound disjoint Seifert surfaces."""
 
     def __init__(self, components, lk, boundary=False):
-        self.components = int(components)
+        self.components = la.int_value(components)
         self.lk = tuple(map(la.int_row, lk))
         if len(self.lk) != self.components or not la.is_symmetric(self.lk):
             raise ValueError("lk must be a symmetric n x n matrix")
@@ -230,14 +230,6 @@ def blink_linking_matrix(b):
         rows[x][y] = rows[y][x] = l
         rows[y][y] = l - e
     return tuple(tuple(row) for row in rows)
-
-
-def is_unimodular(m):
-    """Exact determinant test |det M| = 1."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    return abs(la.det(m)) == 1
 
 
 class FormalSum:

@@ -24,9 +24,9 @@ class SymplecticLattice:
     """Z^(2g) with the standard antisymmetric unimodular pairing."""
 
     def __init__(self, genus):
-        if genus < 1:
+        self.genus = la.int_value(genus)
+        if self.genus < 1:
             raise ValueError("genus must be a positive integer")
-        self.genus = int(genus)
 
     @property
     def dim(self):

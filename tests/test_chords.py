@@ -36,6 +36,8 @@ FIG = ChordDiagram([(0, 1, 0, 2, 1, 2)])
 
 # sha256 of test_multi_tower_reduce_golden's outputs
 GOLDEN_MULTI_REDUCE = "bde9856da6d63d7bc9c57cdcc6f6a46f6a302cc405c097f8516780ab93bbb599"
+# sha256 of test_tower_reduce_golden's outputs
+GOLDEN_TOWER_REDUCE = "d3608da44be1d1158a05c2fe2c4d0a467fdb7131e8391c82964c10ed28bb38f4"
 
 
 def random_single_circle(rng, nchords):
@@ -57,6 +59,32 @@ def oracle_mis(d):
         if all(not cross[a] >> b & 1 for a, b in combinations(members, 2)):
             best = len(members)
     return best
+
+
+def reference_mis(masks, live, stop_at=None):
+    """The plain branch-and-bound search that _mis must agree with, size and
+    chosen set: branch on the live chord with the most live crossings (the
+    least id of those), first taking it and then leaving it out."""
+    n = len(masks)
+    best = [0, 0]
+
+    def rec(cand, size, chosen):
+        if stop_at is not None and best[0] >= stop_at:
+            return
+        if size + cand.bit_count() <= best[0]:
+            return
+        if cand == 0:
+            if size > best[0]:
+                best[:] = size, chosen
+            return
+        v = max((i for i in range(n) if cand >> i & 1),
+                key=lambda i: (masks[i] & cand).bit_count())
+        rec(cand & ~(masks[v] | (1 << v)), size + 1, chosen | (1 << v))
+        if masks[v] & cand:
+            rec(cand & ~(1 << v), size, chosen)
+
+    rec(live, 0, 0)
+    return tuple(best)
 
 
 def crossing_rows(seq, n):
@@ -151,10 +179,11 @@ def test_boundary_degree_matches_oracle():
     assert boundary_degree(d) == interval_oracle(d.circles[0])
 
 
-def perturbed_star(rng, n):
-    """A star of n chords with a few adjacent endpoints swapped, rotated."""
+def perturbed_star(rng, n, swaps=None):
+    """A star of n chords with a few adjacent endpoints swapped (1-4 unless
+    swaps is given), rotated."""
     seq = list(range(n)) * 2
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, 4) if swaps is None else swaps):
         p = rng.randrange(2 * n - 1)
         seq[p], seq[p + 1] = seq[p + 1], seq[p]
     r = rng.randrange(2 * n)
@@ -707,6 +736,30 @@ def test_tower_reduce_m4_star128():
     assert all(boundary_degree(term) >= 4 for term in s.terms)
 
 
+def test_tower_reduce_golden():
+    """The sorted term lists of tower_reduce, hashed: m = 3 on a seeded band
+    of perturbed stars (54-59 chords, three swaps, turned and reflected),
+    m = 2 on stars and random circles of 16-24 chords, and the 128-chord
+    star at m = 4. It pins every plan, move and retirement test of the
+    one-circle engine."""
+    rng = random.Random(167)
+    cases = []
+    for n in list(range(54, 60)) * 4:
+        seq = perturbed_star(rng, n, swaps=3)
+        cases.append((seq[::-1] if rng.random() < 0.5 else seq, 3))
+    for n in range(16, 25):
+        cases += [(tuple(range(n)) * 2, 2), (random_single_circle(rng, n).circles[0], 2)]
+    cases.append((tuple(range(128)) * 2, 4))
+    digest, deep = hashlib.sha256(), 0
+    for seq, m in cases:
+        s = tower_reduce(ChordDiagram([seq]), m)
+        deep += len(s) > 1
+        out = repr([(t.circles, t.marks, co) for t, co in s.items()])
+        digest.update(b"%d %s\n" % (m, out.encode()))
+    assert deep > 30
+    assert digest.hexdigest() == GOLDEN_TOWER_REDUCE
+
+
 def move_options(circles):
     """Every (circle, moving slot, fixed chord) that _move accepts: a chord
     with two endpoints on the circle and an endpoint of another chord next
@@ -786,6 +839,42 @@ def test_bd_raw_on_multi_circle_states():
         for stop_at in range(1, 4):
             got = _bd_raw(circles, stop_at)
             assert got == exact if exact < stop_at else stop_at <= got <= exact
+
+
+def test_mis_matches_reference_search():
+    """_mis against reference_mis, size and chosen bitmask, at stop_at None,
+    1, 2 and 3: seeded random graphs of up to 14 vertices at five densities,
+    on every vertex and on a random live subset; stars and perturbed stars
+    of 4-60 chords, the benchmark's 54-59 band included; and the ORed rows
+    of multi-circle states. Many of these have a chord that crosses every
+    other live chord, the case _mis takes in one step."""
+    rng = random.Random(171)
+    cases = []
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(60):
+            n = rng.randint(0, 14)
+            rows = [0] * n
+            for i, j in combinations(range(n), 2):
+                if rng.random() < density:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            cases += [(rows, (1 << n) - 1), (rows, rng.getrandbits(n) if n else 0)]
+    for n in sorted(set(range(4, 61, 4)) | set(range(54, 60))):
+        for seq in (tuple(range(n)) * 2, perturbed_star(rng, n), perturbed_star(rng, n, swaps=3)):
+            cases.append((crossing_rows(seq, n)[0], (1 << n) - 1))
+    for circles in multi_circle_states(rng, 150):
+        ids = {tok for seq in circles for tok in seq}
+        rows = [0] * (max(ids, default=-1) + 1)
+        for seq in circles:
+            rows = [a | b for a, b in zip(rows, crossing_rows(seq, len(rows))[0])]
+        cases.append((rows, sum(1 << i for i in ids)))
+    universal = 0
+    for rows, live in cases:
+        universal += any(rows[i] & live == live & ~(1 << i)
+                         for i in range(len(rows)) if live >> i & 1)
+        for stop_at in (None, 1, 2, 3):
+            assert _mis(rows, live, stop_at) == reference_mis(rows, live, stop_at)
+    assert universal > 300
 
 
 def test_multi_tower_reduce_golden():
@@ -895,7 +984,7 @@ def test_tower_plans_match_pairwise_build():
         if rng.random() < 0.5:
             seq.reverse()
         d = ChordDiagram([seq])
-        assert _reduce(d, 3, range(2, 4), checked, inf) == tower_reduce(d, 3)
+        assert _reduce(d, 3, range(_bd_circle(seq) + 1, 4), checked, inf) == tower_reduce(d, 3)
     assert set(plans) == {2, 3}
     second = 0
     for _ in range(600):

@@ -12,6 +12,7 @@ from fticalc._intlinalg import (
     identity,
     int_kernel,
     int_row,
+    int_value,
     invert_unimodular,
     is_symmetric,
     mat_mul,
@@ -21,6 +22,8 @@ from fticalc._intlinalg import (
     saturate,
     transpose,
 )
+from fticalc.chords import ChordDiagram
+from fticalc.groupring import GroupWord, TruncatedSeries
 from fticalc.links import BlinkPresentation, FramedLink, SeifertMatrix
 from fticalc.symplectic import (
     SpMatrix,
@@ -69,6 +72,30 @@ def test_integer_constructors_reject_inexact_entries():
     assert SpMatrix.upper_unitriangular(lat, ((three, 1.0), (1, 0))).block_c() == ((3, 1), (1, 0))
     assert FramedLink(2, [[three, 0], [0, 1.0]]).lk == ((3, 0), (0, 1))
     assert Sublattice(lat, [tuple(map(Fraction, e1)), f1]).basis == Sublattice(lat, [e1, f1]).basis
+
+
+def test_scalar_counts_are_exact_integers():
+    """int_value keeps int_row's rule, and every integer count a constructor
+    takes goes through it: each count below was int() of its input, which
+    truncated the value on its line to the exact one."""
+    assert (int_value(3.0), int_value(Fraction(4, 2)), int_value(True)) == (3, 2, 1)
+    assert type(int_value(Fraction(6, 3))) is int
+    counts = (
+        (lambda x: FramedLink(x, [[0]]).components, 1, 1.9),
+        (lambda x: BlinkPresentation(x, [[0, 0], [0, 0]], [1]).pairs, 1, 1.5),
+        (lambda x: SymplecticLattice(x).genus, 2, 2.5),
+        (lambda x: ChordDiagram([(0, 0)], marks=x).marks, 1, 1.7),
+        (lambda x: GroupWord(x, ()).ngens, 2, 2.9),
+        (lambda x: TruncatedSeries(x, 3).nvars, 2, 2.5),
+        (lambda x: TruncatedSeries(2, x).degree, 3, 3.9),
+    )
+    for count, exact, truncated in counts:
+        assert count(exact) == count(float(exact)) == count(Fraction(2 * exact, 2)) == exact
+        for bad in (1.5, Fraction(1, 2), truncated):
+            with pytest.raises(ValueError, match="is not an integer"):
+                int_value(bad)
+            with pytest.raises(ValueError, match="is not an integer"):
+                count(bad)
 
 
 def test_is_symmetric_shapes():
