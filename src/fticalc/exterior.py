@@ -54,15 +54,16 @@ def _key_sort(grade, key, c):
     raise ValueError("unknown grade %r" % (grade,))
 
 
-class MultiVector:
+class MultiVector(lc.Combination):
     """A sparse exact element of Lambda^2, Lambda^3 or H tensor Lambda^2."""
 
-    __slots__ = ("dim", "grade", "terms")
+    __slots__ = ("dim", "grade")
+    _fields = ("dim", "grade")
 
     def __init__(self, dim, grade, terms):
         if grade not in GRADES:
             raise ValueError("unknown grade %r" % (grade,))
-        self.dim = int(dim)
+        self.dim = la.int_value(dim)
         self.grade = grade
         terms = [(tuple(k), c) for k, c in lc.pairs(terms) if c]
         if any(not 0 <= x < self.dim for k, _ in terms for x in k):
@@ -77,42 +78,16 @@ class MultiVector:
     def is_zero(self):
         return not self.terms
 
-    def _like(self, terms):
-        return lc.new(MultiVector, dim=self.dim, grade=self.grade,
-                      terms=tuple(sorted(terms.items())))
+    def _like(self, terms):  # terms are stored as pairs sorted by key
+        return lc.Combination._like(self, tuple(sorted(terms.items())))
 
-    def __add__(self, other):
-        self._check(other)
-        return self._like(lc.add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return self._like(lc.scale(scalar, self.terms))
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiVector)
-            and other.dim == self.dim
-            and other.grade == self.grade
-            and other.terms == self.terms
-        )
+    __add__ = lc.Combination.__add__  # own, for perfbench's tracer to patch
 
     def __hash__(self):
         return hash((self.dim, self.grade, self.terms))
 
     def __repr__(self):
         return "MultiVector(%d, %r, %s)" % (self.dim, self.grade, self.to_text())
-
-    def _check(self, other):
-        if not isinstance(other, MultiVector):
-            raise TypeError("expected a MultiVector")
-        if other.dim != self.dim or other.grade != self.grade:
-            raise ValueError("grade or ambient dimension mismatch")
 
     def to_text(self):
         if not self.terms:
@@ -347,7 +322,8 @@ def in_span(x, generators):
     """Whether x is a rational linear combination of the generators."""
     generators = tuple(generators)
     for gvec in generators:
-        x._check(gvec)
+        if x._check(gvec) is NotImplemented:
+            raise TypeError("expected a MultiVector")
     if x.is_zero():
         return True
     keys = sorted({k for v in generators + (x,) for k, _ in v.terms})

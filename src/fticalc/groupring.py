@@ -39,7 +39,7 @@ class GroupWord:
         self.ngens = la.int_value(ngens)
         reduced = []
         for idx, exp in letters:
-            idx = int(idx)
+            idx = la.int_value(idx)
             if not 0 <= idx < self.ngens:
                 raise ValueError("generator index out of range")
             if exp not in (1, -1):
@@ -67,7 +67,7 @@ class GroupWord:
         return GroupWord(self.ngens, tuple((i, -e) for i, e in reversed(self.letters)))
 
     def __pow__(self, m):
-        m = int(m)
+        m = la.int_value(m)
         base = self.inverse() if m < 0 else self
         return GroupWord(self.ngens, base.letters * abs(m))
 
@@ -108,7 +108,7 @@ def lcs_commutator(depth, letters, ngens=None):
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    letters = tuple(int(i) for i in letters)
+    letters = tuple(map(la.int_value, letters))
     if len(letters) != depth:
         raise ValueError("need exactly one letter per depth level")
     if ngens is None:
@@ -199,14 +199,15 @@ def _parse_atom(tokens, pos):
     raise ValueError("unexpected token %r" % (tok,))
 
 
-class TruncatedSeries:
+class TruncatedSeries(lc.Combination):
     """Noncommutative power series in X1..X_nvars truncated at degree N.
 
     Terms map words (tuples of 0-based variable indices) to exact
     coefficients; zero coefficients are never stored.
     """
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree")
+    _fields = ("nvars", "degree")
 
     def __init__(self, nvars, degree, terms=()):
         self.nvars = la.int_value(nvars)
@@ -221,48 +222,19 @@ class TruncatedSeries:
             raise ValueError("variable index out of range")
         self.terms = lc.collect(terms)
 
-    def _like(self, terms):
-        return lc.new(TruncatedSeries, nvars=self.nvars, degree=self.degree, terms=terms)
-
     @classmethod
     def one(cls, nvars, degree):
         return cls(nvars, degree, {(): 1})
 
-    def _check(self, other):
-        if other.nvars != self.nvars or other.degree != self.degree:
-            raise ValueError("series live in different truncated rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._like(lc.add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return self._like(lc.scale(scalar, self.terms))
-
     def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if self._check(other) is NotImplemented:
             return NotImplemented
-        self._check(other)
         return self._like(lc.collect(
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
             if len(w1) + len(w2) <= self.degree
         ))
-
-    def constant_term(self):
-        return self.terms.get((), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and other.nvars == self.nvars
-            and other.degree == self.degree
-            and other.terms == self.terms
-        )
 
     def to_text(self):
         if not self.terms:
@@ -314,8 +286,7 @@ def iadic_degree(s):
     Returns None when no such term exists within the truncation, meaning
     the degree is at least N + 1.
     """
-    c0 = s.constant_term()
-    if c0 not in (0, 1):
+    if s.terms.get((), 0) not in (0, 1):
         raise ValueError("constant term must be 0 or 1")
     degs = [len(w) for w in s.terms if w]
     if not degs:

@@ -232,7 +232,7 @@ def blink_linking_matrix(b):
     return tuple(tuple(row) for row in rows)
 
 
-class FormalSum:
+class FormalSum(lc.Combination):
     """Exact combination of opaque surgery descriptors.
 
     A descriptor is (manifold label, frozenset of surged items); items
@@ -242,31 +242,10 @@ class FormalSum:
     division makes them Fractions.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
         self.terms = lc.collect(terms)
-
-    def __add__(self, other):
-        return lc.new(FormalSum, terms=lc.add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return lc.new(FormalSum, terms=lc.scale(scalar, self.terms))
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        return isinstance(other, FormalSum) and other.terms == self.terms
-
-    def __len__(self):
-        return len(self.terms)
-
-    def coefficient_sum(self):
-        return sum(self.terms.values())
 
     def sorted_terms(self):
         def key(item):
@@ -400,7 +379,7 @@ class SeifertMatrix:
     """
 
     def __init__(self, sizes, entries):
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(map(la.int_value, sizes))
         if any(s < 0 for s in self.sizes):
             raise ValueError("block sizes must be nonnegative")
         total = sum(self.sizes)
@@ -421,9 +400,6 @@ class SeifertMatrix:
             row[starts[j]:starts[j + 1]]
             for row in self.entries[starts[i]:starts[i + 1]]
         )
-
-    def is_knot_block(self):
-        return len(self.sizes) == 1
 
     def __eq__(self, other):
         return (
@@ -451,57 +427,48 @@ class SeifertMatrix:
         return cls(sizes, rows), frames
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in one variable t."""
+class LaurentPoly(lc.Combination):
+    """Integer Laurent polynomial in one variable t; terms maps exponent to coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    coeffs = property(lambda self: self.terms)  # read-only alias of terms
 
     def __init__(self, coeffs=()):
-        self.coeffs = lc.collect((int(k), c) for k, c in lc.pairs(coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and other.coeffs == self.coeffs
+        self.terms = lc.collect((la.int_value(k), c) for k, c in lc.pairs(coeffs))
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other):
-        return lc.new(LaurentPoly, coeffs=lc.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + (-1) * other
+        return hash(tuple(sorted(self.terms.items())))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return lc.new(LaurentPoly, coeffs=lc.scale(other, self.coeffs))
-        return lc.new(LaurentPoly, coeffs=lc.collect(
+        """The product with a LaurentPoly; p * s for a scalar s is s * p."""
+        if self._check(other) is NotImplemented:
+            return self.__rmul__(other)
+        return self._like(lc.collect(
             (k1 + k2, c1 * c2)
-            for k1, c1 in self.coeffs.items()
-            for k2, c2 in other.coeffs.items()
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
         ))
-
-    __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     def __call__(self, value):
-        return sum(Fraction(c) * Fraction(value) ** k for k, c in self.coeffs.items())
+        return sum(Fraction(c) * Fraction(value) ** k for k, c in self.terms.items())
 
     def reciprocal(self):
         """The substitution t -> 1/t."""
-        return LaurentPoly({-k: c for k, c in self.coeffs.items()})
+        return LaurentPoly({-k: c for k, c in self.terms.items()})
 
     def second_derivative_at_one(self):
-        return sum(c * k * (k - 1) for k, c in self.coeffs.items())
+        return sum(c * k * (k - 1) for k, c in self.terms.items())
 
     def to_text(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
+        for k in sorted(self.terms, reverse=True):
+            c = self.terms[k]
             mono = "1" if k == 0 else ("t" if k == 1 else "t^%d" % k)
             if k == 0:
                 body = str(abs(c))
@@ -543,7 +510,7 @@ def alexander(a):
     interpolated from its integer values at t = 0..max(n, 1); the value at
     t = 1 is det(A - A^T), which is also Delta(1) before normalizing.
     """
-    if not a.is_knot_block():
+    if len(a.sizes) != 1:
         raise ValueError("alexander is defined for a single knot block")
     m = a.entries
     n = len(m)

@@ -132,11 +132,6 @@ class Sublattice:
         ann2 = la.int_kernel(other.basis, self.lat.dim)
         return Sublattice(self.lat, la.int_kernel(ann1 + ann2, self.lat.dim))
 
-    def module_sum_basis(self, other):
-        """Hermite basis of the plain Z-module sum (no saturation)."""
-        self._check_ambient(other)
-        return la.row_hnf(self.basis + other.basis, self.lat.dim)
-
     def is_lagrangian(self):
         """Rank g direct summand on which the pairing vanishes."""
         if self.rank != self.lat.genus:
@@ -335,7 +330,9 @@ def is_compatible(l, lplus, lminus):
         if not s.is_lagrangian():
             raise ValueError("inputs must be Lagrangian sublattices")
     lat = l.lat
-    if lplus.module_sum_basis(lminus) != la.identity(lat.dim):
+    lplus._check_ambient(lminus)
+    # the plain Z-module sum, not saturated: it is all of H iff L+ + L- = H
+    if la.row_hnf(lplus.basis + lminus.basis, lplus.lat.dim) != la.identity(lat.dim):
         raise ValueError("L+ and L- must be complementary Lagrangians")
     a = l.intersection(lplus)
     b = l.intersection(lminus)

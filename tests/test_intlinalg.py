@@ -23,8 +23,9 @@ from fticalc._intlinalg import (
     transpose,
 )
 from fticalc.chords import ChordDiagram
-from fticalc.groupring import GroupWord, TruncatedSeries
-from fticalc.links import BlinkPresentation, FramedLink, SeifertMatrix
+from fticalc.exterior import MultiVector
+from fticalc.groupring import GroupWord, TruncatedSeries, lcs_commutator
+from fticalc.links import BlinkPresentation, FramedLink, LaurentPoly, SeifertMatrix
 from fticalc.symplectic import (
     SpMatrix,
     Sublattice,
@@ -67,11 +68,27 @@ def test_integer_constructors_reject_inexact_entries():
         for build in constructors:
             with pytest.raises(ValueError, match="entries must be integers"):
                 build()
+        # one integer value each: a dimension, an exponent, a generator index
+        # or a block size, where int() truncated 1.5 to 1
+        values = (
+            lambda: MultiVector(bad, "wedge2", {}),
+            lambda: LaurentPoly({bad: 1}),
+            lambda: GroupWord(2, [(bad, 1)]),
+            lambda: GroupWord(2, [(0, 1)]) ** bad,
+            lambda: lcs_commutator(2, [0, bad]),
+            lambda: SeifertMatrix((bad,), [[0]]),
+        )
+        for build in values:
+            with pytest.raises(ValueError, match="is not an integer"):
+                build()
     # an integral Fraction or float is an exact integer value
     three = Fraction(3)
     assert SpMatrix.upper_unitriangular(lat, ((three, 1.0), (1, 0))).block_c() == ((3, 1), (1, 0))
     assert FramedLink(2, [[three, 0], [0, 1.0]]).lk == ((3, 0), (0, 1))
     assert Sublattice(lat, [tuple(map(Fraction, e1)), f1]).basis == Sublattice(lat, [e1, f1]).basis
+    assert MultiVector(4.0, "wedge2", {(0, 1): 1}).dim == 4
+    assert LaurentPoly({three: 1}).coeffs == {3: 1}
+    assert (GroupWord(2, [(Fraction(1), 1)]) ** 2.0).letters == ((1, 1), (1, 1))
 
 
 def test_scalar_counts_are_exact_integers():

@@ -621,7 +621,7 @@ def test_entry_points_keep_int_coefficients():
 
     def coefficients(*values):
         for v in values:
-            terms = v.coeffs if isinstance(v, LaurentPoly) else v.terms
+            terms = v.terms
             yield from (terms.values() if isinstance(terms, dict) else (c for _, c in terms))
 
     exact_ints = []
